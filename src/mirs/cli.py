@@ -12,35 +12,24 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import harness
 from .errors import ConfigurationError
-from .harness import RunConfig, config_from_dict, output_dir
+from .harness import RunConfig, output_dir
 from .mitigation import Technique
-from .scenario import (Topology, generate_highway, install_host_radar,
-                       install_radars, save_scenario)
-from .waveform import RadarType
+from .scenario import Topology, save_scenario
+
+# flags that override the config key of the same name when given
+OVERRIDE_FLAGS = ("label", "density", "topology", "host_type", "technique",
+                  "seed", "n_seeds", "n_dwells", "workers", "output_dir",
+                  "preset")
 
 
 def _config_from_args(args) -> RunConfig:
-    base = {}
-    if args.config:
-        import yaml
-        with open(args.config) as f:
-            base = yaml.safe_load(f) or {}
-    over = {k: v for k, v in (
-        ("label", args.label), ("density", args.density),
-        ("topology", args.topology), ("host_type", args.host_type),
-        ("technique", args.technique), ("seed", args.seed),
-        ("n_seeds", args.n_seeds), ("n_dwells", args.n_dwells),
-        ("workers", args.workers), ("output_dir", args.output_dir),
-        ("preset", args.preset),
-    ) if v is not None}
+    over = {k: getattr(args, k) for k in OVERRIDE_FLAGS
+            if getattr(args, k) is not None}
     if args.rates is not None:
         over["penetration_rates"] = tuple(float(x) for x in args.rates.split(","))
-    base.update(over)
-    return config_from_dict(base)
+    return harness.load_config(args.config, **over)
 
 
 def _add_common(p):
@@ -112,7 +101,7 @@ def _dispatch(args) -> int:
 
     if args.cmd == "sweep":
         cfg = _config_from_args(args)
-        outdir = output_dir(cfg)
+        outdir = output_dir(cfg.output_dir)
         path = args.out or os.path.join(outdir, f"{cfg.label}.csv")
         results = harness.run_sweep(cfg, csv_path=path)
         print(f"{len(results)} rows -> {path}")
@@ -135,8 +124,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.cmd == "dump-maps":
-        outdir = os.environ.get("MIRS_OUTPUT_DIR", args.output_dir)
-        written = harness.dump_maps(outdir, n_interferers=args.n_interferers,
+        written = harness.dump_maps(output_dir(args.output_dir),
+                                    n_interferers=args.n_interferers,
                                     dwell_index=args.dwell_index,
                                     seed=args.seed)
         for w in written:

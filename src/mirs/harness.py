@@ -12,7 +12,7 @@ import csv
 import io
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.constants import c as C0
@@ -31,7 +31,8 @@ from .scenario import (RadarInstance, Scenario, Topology, advance,
 from .synthesis import (Emitter, TargetEcho, ThermalModel, can_beat_in_band,
                         chirp_times_in_window, host_chirp_times,
                         synthesize_dwell, write_cube)
-from .waveform import RadarType, WaveformConfig, ClockModel, sample_waveform
+from .waveform import (ClockModel, RadarType, WaveformConfig, apply_clock_drift,
+                       sample_waveform)
 
 # rng substream tags (arbitrary distinct constants)
 SCEN_TAG = 0x5C3E
@@ -59,6 +60,7 @@ RADAR_A = WaveformConfig(
 # constant: 15 field-layout interferers raise the floor by about 6 dB and the
 # chamber counts 5/15/30 track the 2.5/5/8 dB progression.
 RADAR_A_NOISE_FIGURE_DB = 50.6
+RADAR_A_NOISE = ThermalModel(noise_figure_db=RADAR_A_NOISE_FIGURE_DB)
 
 DEFAULT_NOISE_FIGURE_DB = 12.0
 
@@ -98,7 +100,6 @@ class RunConfig:
     workers: int = 1
     output_dir: str = "out"
     scenario_file: str = ""           # explicit scene instead of a density draw
-    dump_maps: bool = False
 
     def __post_init__(self):
         rates = tuple(self.penetration_rates)
@@ -138,8 +139,9 @@ def preset_config(index: int, **overrides) -> RunConfig:
     return RunConfig(**base)
 
 
-def output_dir(cfg: RunConfig) -> str:
-    return os.environ.get("MIRS_OUTPUT_DIR", cfg.output_dir)
+def output_dir(default: str) -> str:
+    """The MIRS_OUTPUT_DIR environment variable if set, else `default`."""
+    return os.environ.get("MIRS_OUTPUT_DIR", default)
 
 
 def config_from_dict(d: dict) -> RunConfig:
@@ -168,10 +170,15 @@ def config_from_dict(d: dict) -> RunConfig:
         raise ConfigurationError(f"bad config key: {e}")
 
 
-def load_config(path) -> RunConfig:
-    import yaml
-    with open(path) as f:
-        doc = yaml.safe_load(f) or {}
+def load_config(path=None, **overrides) -> RunConfig:
+    """RunConfig from a YAML config file (none: defaults only); keyword
+    overrides win over the file's keys."""
+    doc = {}
+    if path:
+        import yaml
+        with open(path) as f:
+            doc = yaml.safe_load(f) or {}
+    doc.update(overrides)
     return config_from_dict(doc)
 
 
@@ -227,8 +234,6 @@ class DwellResult:
     floor_db: float
     target_snr_db: float
     n_emitters: int = 0
-    cube: object = None
-    rd: object = None
 
 
 def build_emitters(snap: Scenario, host_pos, host_bore, hr: RadarInstance,
@@ -272,8 +277,7 @@ def build_emitters(snap: Scenario, host_pos, host_bore, hr: RadarInstance,
 
 
 def simulate_dwell(cfg: RunConfig, scen: Scenario, seed_index: int,
-                   dwell_index: int, frame_p: float,
-                   collect: bool = False, with_interference: bool = True) -> DwellResult:
+                   dwell_index: int, frame_p: float) -> DwellResult:
     snap = advance(scen, dwell_index * frame_p)
     host_v = snap.host
     hr = snap.host_radar
@@ -294,12 +298,9 @@ def simulate_dwell(cfg: RunConfig, scen: Scenario, seed_index: int,
     p_echo = echo_power(hr, host_pos, host_bore, tgt_pos, tgt.rcs)
     targets = [TargetEcho(power=p_echo, range_m=tgt_range)] if p_echo > 0 else []
 
-    emitters = []
-    if with_interference:
-        t0 = host_times[0]
-        t1 = host_times[-1] + host_wf.chirp_duration
-        emitters = build_emitters(snap, host_pos, host_bore, hr, host_wf,
-                                  t0, t1, (cfg.seed, seed_index))
+    t0, t1 = host_times[0], host_times[-1] + host_wf.chirp_duration
+    emitters = build_emitters(snap, host_pos, host_bore, hr, host_wf, t0, t1,
+                              (cfg.seed, seed_index))
 
     noise = ThermalModel(noise_figure_db=cfg.noise_figure_db)
     noise_rng = np.random.default_rng(np.random.SeedSequence(
@@ -318,9 +319,7 @@ def simulate_dwell(cfg: RunConfig, scen: Scenario, seed_index: int,
     hit = bool(targets) and target_detected(dets, rb, db, rd.n_doppler_bins)
     snr = target_snr_db(rd, rb, db, floor) if targets else float("nan")
     return DwellResult(detected=hit, floor_db=floor, target_snr_db=snr,
-                       n_emitters=len(emitters),
-                       cube=cube if collect else None,
-                       rd=rd if collect else None)
+                       n_emitters=len(emitters))
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +376,9 @@ CSV_FIELDS = ("scenario_label", "topology", "host_radar_type", "technique",
 
 def results_csv(cfg: RunConfig, results) -> str:
     buf = io.StringIO()
-    for k in sorted(cfg.metadata()):
-        buf.write(f"# {k}={cfg.metadata()[k]}\n")
+    md = cfg.metadata()
+    for k in sorted(md):
+        buf.write(f"# {k}={md[k]}\n")
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(CSV_FIELDS)
     for r in results:
@@ -437,27 +437,50 @@ def field_layout(per_array: int = 5, distances=(5.0, 10.0, 15.0)):
     return out
 
 
-def _free_space_rx(host_wf: WaveformConfig, wf_i: WaveformConfig,
-                   pos, fov_halfwidth: float) -> float:
-    """Direct-path receive power from an aimed interferer at `pos`; the host
-    sits at the origin looking along +x."""
+def _chamber_interferer(rng: np.random.Generator) -> WaveformConfig:
+    """A USRR interferer waveform with its carrier pinned within 50 MHz of
+    the chamber host's, for worst-case overlap."""
+    wf = sample_waveform(RadarType.USRR, rng, interferer_ok=True)
+    return replace(wf, carrier=RADAR_A.carrier + rng.uniform(-50e6, 50e6))
+
+
+def _free_space_rx(wf_i: WaveformConfig, pos) -> float:
+    """Direct-path receive power from an aimed interferer at `pos`; the
+    RADAR_A host sits at the origin looking along +x with a 15 degree FOV
+    half-width."""
     L = math.hypot(*pos)
     ang = math.atan2(pos[1], pos[0])
-    if abs(ang) > fov_halfwidth:
+    if abs(ang) > math.radians(15.0):
         return 0.0
     lam = C0 / wf_i.carrier
-    return (wf_i.tx_power * wf_i.rx_gain * host_wf.rx_gain
+    return (wf_i.tx_power * wf_i.rx_gain * RADAR_A.rx_gain
             * (lam / (4 * math.pi * L)) ** 2)
 
 
-def run_anechoic_analog(host_profile: WaveformConfig = RADAR_A,
-                        n_interferers: int = 30, layout=None, counts=None,
-                        n_seeds: int = 10, n_dwells: int = 50, seed: int = 0,
-                        noise_figure_db: float = None,
-                        interferer_type: RadarType = RadarType.USRR,
-                        fov_halfwidth: float = math.radians(15.0),
-                        co_band: bool = True, lpf_gating: bool = True):
-    """Mean noise floor versus number of active interferers, free space.
+def chamber_cube(specs, seed: int, seed_index: int, dwell_index: int):
+    """One free-space chamber dwell cube of the RADAR_A host with one
+    interferer per (waveform, position) in `specs`."""
+    host_times = host_chirp_times(RADAR_A, dwell_index)
+    t0, t1 = host_times[0], host_times[-1] + RADAR_A.chirp_duration
+    emitters = []
+    for wf, pos in specs:
+        p_rx = _free_space_rx(wf, pos)
+        if p_rx <= 0.0 or not can_beat_in_band(RADAR_A, wf):
+            continue
+        delay = math.hypot(*pos) / C0
+        times = chirp_times_in_window(wf, t0 - delay, t1 - delay)
+        emitters.append(Emitter(waveform=wf, amplitude=math.sqrt(p_rx),
+                                chirp_times=times + delay))
+    noise_rng = np.random.default_rng(np.random.SeedSequence(
+        [seed, seed_index, NOISE_TAG, dwell_index]))
+    return synthesize_dwell(RADAR_A, host_times, [], emitters, RADAR_A_NOISE,
+                            noise_rng)
+
+
+def run_anechoic_analog(n_interferers: int = 30, layout=None, counts=None,
+                        n_seeds: int = 10, n_dwells: int = 50, seed: int = 0):
+    """Mean noise floor of the RADAR_A host versus number of active co-band
+    USRR interferers, free space.
 
     Interferers activate in layout order; returns {count: mean floor dB}.
     """
@@ -469,56 +492,29 @@ def run_anechoic_analog(host_profile: WaveformConfig = RADAR_A,
     if max(counts) > n_interferers:
         raise ConfigurationError("count exceeds n_interferers")
 
-    nf = noise_figure_db if noise_figure_db is not None else RADAR_A_NOISE_FIGURE_DB
-    noise = ThermalModel(noise_figure_db=nf)
-    floors = {}
-    for count in counts:
-        per_dwell = []
-        for s in range(n_seeds):
-            rng = np.random.default_rng(
-                np.random.SeedSequence([seed, s, CHAMBER_TAG]))
-            emitter_specs = []
-            for i in range(count):
-                wf = sample_waveform(interferer_type, rng, interferer_ok=True)
-                if co_band:
-                    # pin the carrier near the host band for worst-case overlap
-                    wf = replace(wf, carrier=host_profile.carrier
-                                 + rng.uniform(-50e6, 50e6))
-                drift = rng.uniform(-20.0, 20.0)
-                wf = RadarInstance(
-                    mount=(0.0, 0.0), boresight=0.0, fov_halfwidth=math.pi,
-                    radar_type=interferer_type, waveform=wf,
-                    clock=ClockModel(drift_ppm=drift)).drifted()
-                p_rx = _free_space_rx(host_profile, wf, layout[i], fov_halfwidth)
-                emitter_specs.append((wf, p_rx, layout[i]))
+    per_dwell = {count: [] for count in counts}
+    for s in range(n_seeds):
+        rng = np.random.default_rng(
+            np.random.SeedSequence([seed, s, CHAMBER_TAG]))
+        specs = []
+        for pos in layout[:max(counts)]:
+            wf = _chamber_interferer(rng)
+            clock = ClockModel(drift_ppm=rng.uniform(-20.0, 20.0))
+            specs.append((apply_clock_drift(wf, clock), pos))
+        for count in per_dwell:
             for d in range(n_dwells):
-                host_times = host_chirp_times(host_profile, d)
-                t0, t1 = host_times[0], host_times[-1] + host_profile.chirp_duration
-                emitters = []
-                for wf, p_rx, pos in emitter_specs:
-                    if p_rx <= 0.0 or not can_beat_in_band(host_profile, wf):
-                        continue
-                    delay = math.hypot(*pos) / C0
-                    times = chirp_times_in_window(wf, t0 - delay, t1 - delay)
-                    emitters.append(Emitter(waveform=wf,
-                                            amplitude=math.sqrt(p_rx),
-                                            chirp_times=times + delay))
-                noise_rng = np.random.default_rng(np.random.SeedSequence(
-                    [seed, s, NOISE_TAG, d]))
-                cube = synthesize_dwell(host_profile, host_times, [], emitters,
-                                        noise, noise_rng, lpf_gating=lpf_gating)
+                cube = chamber_cube(specs[:count], seed, s, d)
                 rd = range_doppler(cube)
-                per_dwell.append(10 ** (noise_floor(rd) / 10.0))
-        floors[count] = 10.0 * math.log10(stable_mean(per_dwell))
-    return floors
+                per_dwell[count].append(10 ** (noise_floor(rd) / 10.0))
+    return {count: 10.0 * math.log10(stable_mean(p))
+            for count, p in per_dwell.items()}
 
 
 # ---------------------------------------------------------------------------
 # diagnostic map dumps
 
 def dump_maps(outdir, n_interferers: int = 5, dwell_index: int = 0,
-              seed: int = 0, host_profile: WaveformConfig = RADAR_A,
-              distance: float = 7.0):
+              seed: int = 0):
     """Write time-chirp, range-chirp and range-Doppler matrices with and
     without interference (six binary files plus headers) for one chamber
     dwell.  Returns the file paths."""
@@ -526,19 +522,22 @@ def dump_maps(outdir, n_interferers: int = 5, dwell_index: int = 0,
         os.makedirs(outdir, exist_ok=True)
     except OSError as e:
         raise ConfigurationError(f"map dump failed for {outdir}: {e}")
+    # The dumps draw their own interferers from seed index 0 without clock
+    # drift, unlike the analog: drifted draws would change every dump file.
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0, CHAMBER_TAG]))
+    specs = [(_chamber_interferer(rng), pos)
+             for pos in chamber_layout(n_interferers)]
     written = []
     for tag, count in (("clean", 0), ("interf", n_interferers)):
-        cube = chamber_cube(host_profile, count, dwell_index, seed,
-                            distance=distance)
-        rc = range_chirp(cube)
-        rd = range_doppler(cube)
+        cube = chamber_cube(specs[:count], seed, 0, dwell_index)
         mats = (("time_chirp", cube.samples),
-                ("range_chirp", rc.astype(np.complex128)),
-                ("range_doppler", rd.power.astype(np.complex128)))
+                ("range_chirp", range_chirp(cube).astype(np.complex128)),
+                ("range_doppler",
+                 range_doppler(cube).power.astype(np.complex128)))
         for name, mat in mats:
             path = os.path.join(outdir, f"{name}_{tag}.bin")
             try:
-                write_cube(path, mat, host_profile.adc_rate,
+                write_cube(path, mat, RADAR_A.adc_rate,
                            header_extra={"stage": name, "interferers": count,
                                          "dwell_index": dwell_index,
                                          "seed": seed})
@@ -546,28 +545,3 @@ def dump_maps(outdir, n_interferers: int = 5, dwell_index: int = 0,
                 raise ConfigurationError(f"map dump failed for {path}: {e}")
             written.append(path)
     return written
-
-
-def chamber_cube(host_profile: WaveformConfig, count: int, dwell_index: int,
-                 seed: int, distance: float = 7.0):
-    """One chamber dwell cube with `count` co-band interferers active."""
-    layout = chamber_layout(max(count, 1), distance)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0, CHAMBER_TAG]))
-    noise = ThermalModel(noise_figure_db=RADAR_A_NOISE_FIGURE_DB)
-    host_times = host_chirp_times(host_profile, dwell_index)
-    t0, t1 = host_times[0], host_times[-1] + host_profile.chirp_duration
-    emitters = []
-    for i in range(count):
-        wf = sample_waveform(RadarType.USRR, rng, interferer_ok=True)
-        wf = replace(wf, carrier=host_profile.carrier + rng.uniform(-50e6, 50e6))
-        p_rx = _free_space_rx(host_profile, wf, layout[i], math.radians(15.0))
-        if p_rx <= 0.0:
-            continue
-        delay = math.hypot(*layout[i]) / C0
-        times = chirp_times_in_window(wf, t0 - delay, t1 - delay)
-        emitters.append(Emitter(waveform=wf, amplitude=math.sqrt(p_rx),
-                                chirp_times=times + delay))
-    noise_rng = np.random.default_rng(
-        np.random.SeedSequence([seed, 0, NOISE_TAG, dwell_index]))
-    return synthesize_dwell(host_profile, host_times, [], emitters, noise,
-                            noise_rng)

@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .scenario import Polarization, RadarInstance, Scenario, Vehicle
+from .scenario import Polarization, RadarInstance, Scenario
 
 BAND_LO_HZ = 77e9
 BAND_TOTAL_HZ = 4e9

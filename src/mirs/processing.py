@@ -1,4 +1,4 @@
-"""Host radar DSP chain: range FFT, Doppler FFT, floor estimation, detectors.
+"""Host radar DSP chain: range FFT, Doppler FFT, floor estimation, CA-CFAR.
 
 Window power is normalized so that a pure-noise floor level is invariant to
 the window choice; the Doppler axis is fftshifted so zero Doppler sits at bin
@@ -30,12 +30,6 @@ class RangeDopplerMap:
     @property
     def n_doppler_bins(self):
         return self.power.shape[1]
-
-    def range_to_bin(self, r: float) -> int:
-        return int(round(r / self.range_bin_m))
-
-    def bin_to_range(self, b: int) -> float:
-        return b * self.range_bin_m
 
     @property
     def zero_doppler_bin(self) -> int:
@@ -79,9 +73,9 @@ def range_doppler(cube: IFCube, window: str = "hann") -> RangeDopplerMap:
                            doppler_bin_mps=doppler_bin_mps)
 
 
-def range_chirp(cube: IFCube, window: str = "hann") -> np.ndarray:
-    """Power after the range FFT only: [range bin, chirp]."""
-    w = _window(window, cube.samples.shape[0])
+def range_chirp(cube: IFCube) -> np.ndarray:
+    """Power after the Hann-windowed range FFT only: [range bin, chirp]."""
+    w = _window("hann", cube.samples.shape[0])
     y = np.fft.fft(cube.samples * w[:, None], axis=0) / math.sqrt(np.sum(w ** 2))
     return np.abs(y) ** 2
 
@@ -98,17 +92,6 @@ def noise_floor(rd: RangeDopplerMap, exclusion=()) -> float:
     if vals.size == 0:
         raise ConfigurationError("all cells excluded")
     return 10.0 * math.log10(np.median(vals))
-
-
-def mean_floor(rd: RangeDopplerMap, exclusion=()) -> float:
-    """Mean map level in dB with the same exclusion convention."""
-    mask = np.ones(rd.power.shape, dtype=bool)
-    for rb, db in exclusion:
-        mask[rb, db] = False
-    vals = rd.power[mask]
-    if vals.size == 0:
-        raise ConfigurationError("all cells excluded")
-    return 10.0 * math.log10(np.mean(vals))
 
 
 def target_exclusion_cells(rd: RangeDopplerMap, range_bin: int, doppler_bin: int,
@@ -168,19 +151,6 @@ def detection_mask_ca_cfar(power: np.ndarray, guard: int = 2, train: int = 8,
     return power > alpha * noise_est
 
 
-def fixed_threshold(rd: RangeDopplerMap, nominal_floor_db: float,
-                    threshold_db: float = 9.64):
-    """Detect cells above a fixed level; the threshold never adapts.
-
-    The 9.64 dB default puts the per-cell false-alarm rate of exponential
-    noise at 1e-4 when calibrated on an interference-free floor.
-    """
-    level = 10 ** ((nominal_floor_db + threshold_db) / 10.0)
-    hits = rd.power > level
-    noise_est = np.full(rd.power.shape, 10 ** (nominal_floor_db / 10.0))
-    return _detections_from_mask(rd, hits, noise_est)
-
-
 def _detections_from_mask(rd: RangeDopplerMap, hits: np.ndarray,
                           noise_est: np.ndarray):
     """Cluster 8-connected hit cells to their local peak."""
@@ -198,16 +168,6 @@ def _detections_from_mask(rd: RangeDopplerMap, hits: np.ndarray,
             radial_speed=(db - rd.zero_doppler_bin) * rd.doppler_bin_mps,
             snr_db=snr))
     return out
-
-
-def raw_detection_count(rd: RangeDopplerMap, detector: str, **kw) -> int:
-    """Unclustered hit-cell count (false-alarm bookkeeping)."""
-    if detector == "ca_cfar":
-        return int(np.count_nonzero(detection_mask_ca_cfar(rd.power, **kw)))
-    if detector == "fixed":
-        level = 10 ** ((kw["nominal_floor_db"] + kw.get("threshold_db", 9.64)) / 10.0)
-        return int(np.count_nonzero(rd.power > level))
-    raise ConfigurationError(f"unknown detector: {detector}")
 
 
 def target_detected(detections, range_bin: int, doppler_bin: int,

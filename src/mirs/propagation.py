@@ -79,17 +79,6 @@ class VehicleRects:
         return bool(np.any(_segment_hits_rects(p, q, rects)))
 
 
-def segment_blocked(p, q, vehicles, exclude_ids=()) -> bool:
-    """True iff the open segment pq crosses any vehicle footprint rectangle."""
-    if p == q:
-        raise ConfigurationError("degenerate segment")
-    rects = [_rect_bounds(v) for v in vehicles if v.id not in exclude_ids]
-    if not rects:
-        return False
-    r = np.asarray(rects)
-    return bool(np.any(_segment_hits_rects(p, q, r)))
-
-
 def _segment_hits_rects(p, q, rects: np.ndarray) -> np.ndarray:
     """Vectorized slab test of one segment against axis-aligned rectangles.
 
@@ -118,7 +107,7 @@ def _segment_hits_rects(p, q, rects: np.ndarray) -> np.ndarray:
 
 
 def paths(tx, rx, scenario: Scenario, exclude_ids=(),
-          material: MaterialModel = MaterialModel(), rects: VehicleRects = None):
+          rects: VehicleRects = None):
     """Direct plus one image-method bounce per wall between points tx and rx.
 
     Blocked paths are returned with blocked=True; bounce points falling outside
@@ -155,7 +144,7 @@ def paths(tx, rx, scenario: Scenario, exclude_ids=(),
         # incidence angle from the wall normal (normal is the y axis)
         theta = math.atan2(abs(rx[0] - tx[0]),
                            abs(wall_y - tx[1]) + abs(wall_y - rx[1]))
-        coeff = fresnel_reflection(theta, material)
+        coeff = fresnel_reflection(theta)
         blocked = (rects.blocked(tx, bounce, exclude_ids)
                    or rects.blocked(bounce, rx, exclude_ids))
         out.append(PropagationPath(
@@ -190,9 +179,8 @@ def one_way_gain(path: PropagationPath, tx_radar: RadarInstance, tx_boresight: f
 
 
 def echo_power(radar: RadarInstance, radar_pos, radar_boresight,
-               target_pos, rcs: float, scenario: Scenario = None,
-               exclude_ids=()) -> float:
-    """Two-way radar-equation receive power; zero if out of FOV or blocked.
+               target_pos, rcs: float) -> float:
+    """Two-way radar-equation receive power; zero outside the FOV.
 
     ERP = P_t * n_el * g_el (matches a 35 dBm ERP front LRR), receive gain
     n_el * g_el.
@@ -202,9 +190,6 @@ def echo_power(radar: RadarInstance, radar_pos, radar_boresight,
         raise ConfigurationError("target coincides with the radar")
     ang = math.atan2(target_pos[1] - radar_pos[1], target_pos[0] - radar_pos[0])
     if abs(_wrap(ang - radar_boresight)) > radar.fov_halfwidth:
-        return 0.0
-    if scenario is not None and segment_blocked(radar_pos, target_pos,
-                                               scenario.vehicles, exclude_ids):
         return 0.0
     wf = radar.drifted()
     lam = C0 / wf.carrier

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -166,7 +166,6 @@ def _overlaps(x, half_len, placed):
 def generate_highway(density_label: str, geometry: RoadGeometry = RoadGeometry(),
                      truck_fraction: float = 0.1,
                      rng: np.random.Generator = None,
-                     exact_count: bool = True,
                      duration: float = 10.0,
                      target_rcs_dbsm: float = 10.0,
                      target_range: float = 100.0) -> Scenario:
@@ -199,15 +198,10 @@ def generate_highway(density_label: str, geometry: RoadGeometry = RoadGeometry()
     vehicles = [host]
     next_id = 1
 
-    def lane_blocked_spans(lane):
-        spans = []
-        if lane == host_lane:
-            spans.append((host_x - host.length / 2.0, corridor[1]))
-        return spans
-
     for lane in range(geometry.n_lanes):
         placed = [(host_x, host.length / 2.0)] if lane == host_lane else []
-        blocked = lane_blocked_spans(lane)
+        blocked = ([(host_x - host.length / 2.0, corridor[1])]
+                   if lane == host_lane else [])
         x = rng.exponential(mean_gap)
         while True:
             kind = "truck" if rng.random() < truck_fraction else "car"
@@ -228,9 +222,8 @@ def generate_highway(density_label: str, geometry: RoadGeometry = RoadGeometry()
                 next_id += 1
             x = cx + length / 2.0 + rng.exponential(mean_gap)
 
-    if exact_count:
-        vehicles = _trim_or_pad(vehicles, target_count, host, corridor, geometry,
-                                lane_speeds, truck_fraction, rng)
+    vehicles = _trim_or_pad(vehicles, target_count, host, corridor, geometry,
+                            lane_speeds, truck_fraction, rng)
 
     target = ReferenceTarget(position=(target_range, 0.0),
                              rcs=10 ** (target_rcs_dbsm / 10.0), host_relative=True)

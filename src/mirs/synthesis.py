@@ -12,7 +12,7 @@ at the ADC rate, applied per sample).  Geometry is frozen within a dwell.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

@@ -120,14 +120,13 @@ WAVEFORM_RANGES = {
 
 
 def sample_waveform(radar_type: RadarType, rng: np.random.Generator,
-                    ranges=None, adc_rate: float = DEFAULT_ADC_RATE_HZ,
                     interferer_ok: bool = False) -> WaveformConfig:
     """Draw one waveform uniformly from the per-type parameter ranges."""
     if not isinstance(radar_type, RadarType):
         raise ConfigurationError(f"unknown radar type: {radar_type!r}")
     if radar_type is RadarType.USRR and not interferer_ok:
         raise ConfigurationError("USRR is an interferer-only profile")
-    spec = (ranges or WAVEFORM_RANGES)[radar_type]
+    spec = WAVEFORM_RANGES[radar_type]
 
     pri = rng.uniform(*spec["pri"])
     slope = rng.uniform(*spec["slope"])
@@ -147,17 +146,8 @@ def sample_waveform(radar_type: RadarType, rng: np.random.Generator,
         pri=pri, slope=slope, chirp_duration=chirp_duration, carrier=carrier,
         n_chirps=n_chirps, fps=fps, n_elements=spec["n_elements"],
         tx_power=spec["tx_power"], element_gain=spec["element_gain"],
-        adc_rate=adc_rate, start_offset=start_offset,
+        adc_rate=DEFAULT_ADC_RATE_HZ, start_offset=start_offset,
     )
-
-
-def chirp_value(cfg: WaveformConfig, t: float) -> complex:
-    """Single chirp sample exp(-j2pi(f_c t + slope t^2 / 2)); zero outside [0, T_c]."""
-    if t < 0.0 or t > cfg.chirp_duration:
-        return 0j
-    cycles = cfg.carrier * t + 0.5 * cfg.slope * t * t
-    return complex(math.cos(2 * math.pi * (cycles % 1.0)),
-                   -math.sin(2 * math.pi * (cycles % 1.0)))
 
 
 def apply_clock_drift(cfg: WaveformConfig, clock: ClockModel) -> WaveformConfig:
@@ -168,10 +158,3 @@ def apply_clock_drift(cfg: WaveformConfig, clock: ClockModel) -> WaveformConfig:
     return replace(cfg, carrier=cfg.carrier * f, slope=cfg.slope * f,
                    pri=cfg.pri / f, chirp_duration=cfg.chirp_duration / f)
 
-
-def chirp_start_times(cfg: WaveformConfig, dwell_index: int) -> np.ndarray:
-    """Absolute start times of the n_chirps chirps of one dwell (no dithering)."""
-    if dwell_index < 0:
-        raise ConfigurationError("dwell_index must be >= 0")
-    base = cfg.start_offset + dwell_index / cfg.fps
-    return base + np.arange(cfg.n_chirps) * cfg.pri

@@ -119,6 +119,7 @@ def chamber_floors():
                                seed=0)
 
 
+@pytest.mark.slow
 def test_criterion_05_field_rise():
     floors = run_anechoic_analog(n_interferers=15, layout=field_layout(),
                                  counts=(0, 15), n_seeds=10, n_dwells=50,
@@ -128,6 +129,7 @@ def test_criterion_05_field_rise():
                 f"(target 6.5 +/- 1.5)", 5.0 <= rise <= 8.0)
 
 
+@pytest.mark.slow
 def test_criterion_06_chamber_progression(chamber_floors):
     f = chamber_floors
     r5, r15, r30 = (f[5] - f[0], f[15] - f[0], f[30] - f[0])
@@ -173,6 +175,7 @@ def test_criterion_08_detector_contrast():
 # ---------------------------------------------------------------------------
 # 9. mitigation ordering at penetration 1.0
 
+@pytest.mark.slow
 def test_criterion_09_mitigation_ordering():
     pd = {}
     for tech in Technique:
@@ -196,6 +199,7 @@ def test_criterion_09_mitigation_ordering():
 # ---------------------------------------------------------------------------
 # 10. baseline PD bounds and full-topology degradation
 
+@pytest.mark.slow
 def test_criterion_10_pd_bounds():
     # part A: interference-free ceiling across the whole scene matrix
     worst = 1.0

@@ -85,10 +85,9 @@ def test_repo_configs_parse():
 
 
 def test_output_dir_env_override(monkeypatch):
-    cfg = RunConfig(output_dir="somewhere")
-    assert output_dir(cfg) == "somewhere"
+    assert output_dir("somewhere") == "somewhere"
     monkeypatch.setenv("MIRS_OUTPUT_DIR", "/tmp/elsewhere")
-    assert output_dir(cfg) == "/tmp/elsewhere"
+    assert output_dir("somewhere") == "/tmp/elsewhere"
 
 
 def test_build_scene_installs_expected_radars():

@@ -1,4 +1,4 @@
-"""Range-Doppler processing, floor estimation, CFAR and fixed threshold."""
+"""Range-Doppler processing, floor estimation and CFAR."""
 import math
 
 import numpy as np
@@ -7,9 +7,8 @@ from scipy.constants import c as C0
 
 from mirs.errors import ConfigurationError
 from mirs.processing import (Detection, RangeDopplerMap, ca_cfar,
-                             detection_mask_ca_cfar, fixed_threshold,
-                             horizontal_bands, mean_floor, noise_floor,
-                             range_chirp, range_doppler, raw_detection_count,
+                             detection_mask_ca_cfar, horizontal_bands,
+                             noise_floor, range_chirp, range_doppler,
                              target_detected, target_exclusion_cells,
                              target_snr_db, vertical_stripes)
 from mirs.synthesis import IFCube, TargetEcho, ThermalModel, host_chirp_times, synthesize_dwell
@@ -44,8 +43,7 @@ def test_tone_lands_in_expected_cell():
     rb, db = np.unravel_index(np.argmax(rd.power), rd.power.shape)
     assert rb == 200
     assert db == rd.zero_doppler_bin
-    assert rd.range_to_bin(r) == 200
-    assert rd.bin_to_range(200) == pytest.approx(r, rel=2e-3)
+    assert 200 * rd.range_bin_m == pytest.approx(r, rel=2e-3)
 
 
 def test_axis_scalings():
@@ -81,13 +79,6 @@ def test_noise_floor_median_ln2_calibration():
     got = np.mean(vals)
     want = 10 * math.log10(p * math.log(2.0))
     assert abs(got - want) < 0.2
-
-
-def test_mean_floor_matches_noise_power():
-    noise = ThermalModel(noise_figure_db=12.0)
-    p = noise.power(HOST.adc_rate)
-    rd = range_doppler(noise_cube(seed=9))
-    assert abs(mean_floor(rd) - 10 * math.log10(p)) < 0.2
 
 
 def test_floor_exclusion():
@@ -144,21 +135,6 @@ def test_cfar_validation():
         ca_cfar(rd, train=2)
     with pytest.raises(ConfigurationError):
         ca_cfar(rd, pfa=0.0)
-
-
-def test_fixed_threshold_level_and_monotonicity():
-    cube, _ = tone_cube(range_bin=150, power=1e-9)
-    rd = range_doppler(cube)
-    floor = noise_floor(rd, exclusion=target_exclusion_cells(rd, 150, 32))
-    dets = fixed_threshold(rd, floor)
-    assert any(abs(d.range_bin - 150) <= 1 for d in dets)
-    # raising the floor estimate far enough kills all detections
-    assert fixed_threshold(rd, floor + 120.0) == []
-    # raw counts shrink as the threshold rises
-    c1 = raw_detection_count(rd, "fixed", nominal_floor_db=floor)
-    c2 = raw_detection_count(rd, "fixed", nominal_floor_db=floor,
-                             threshold_db=20.0)
-    assert c2 <= c1
 
 
 def test_fixed_vs_cfar_under_uniform_floor_rise():

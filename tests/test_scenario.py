@@ -72,16 +72,17 @@ def test_lane_speed_shared_and_in_range():
 
 def test_los_fraction_decreases_with_density():
     # fraction of vehicles with an unblocked straight line to the host
-    from mirs.propagation import segment_blocked
+    from mirs.propagation import VehicleRects
 
     def los_fraction(label, seed):
         s = make_scene(label, seed=seed)
         host = s.host
+        rects = VehicleRects(s.vehicles)
         n_los = 0
         others = [v for v in s.vehicles if v.id != host.id]
         for v in others:
-            if not segment_blocked(host.center, v.center, s.vehicles,
-                                   exclude_ids=(host.id, v.id)):
+            if not rects.blocked(host.center, v.center,
+                                 exclude_ids=(host.id, v.id)):
                 n_los += 1
         return n_los / len(others)
 

@@ -1,13 +1,13 @@
-"""Waveform sampling, chirp evaluation and clock-drift tests."""
+"""Waveform sampling, chirp timing and clock-drift tests."""
 import math
 
 import numpy as np
 import pytest
 
 from mirs.errors import ConfigurationError
+from mirs.synthesis import host_chirp_times
 from mirs.waveform import (ClockModel, RadarType, WAVEFORM_RANGES,
-                           WaveformConfig, apply_clock_drift,
-                           chirp_start_times, chirp_value, sample_waveform)
+                           WaveformConfig, apply_clock_drift, sample_waveform)
 
 
 def draw_many(radar_type, n=10000, seed=1):
@@ -50,29 +50,6 @@ def test_usrr_requires_interferer_flag():
     assert wf.element_gain == pytest.approx(10.0)
 
 
-def test_chirp_value_instantaneous_frequency():
-    # finite-difference phase of the analytic chirp recovers f_c + slope*t
-    wf = WaveformConfig(pri=20e-6, slope=10e12, chirp_duration=15e-6,
-                        carrier=78e9, n_chirps=256, fps=25.0, n_elements=12,
-                        tx_power=0.01, element_gain=25.0, adc_rate=25e6)
-    dt = 1e-15
-    for t in (1e-6, 5e-6, 12e-6):
-        a = chirp_value(wf, t)
-        b = chirp_value(wf, t + dt)
-        dphi = -np.angle(b / a) / (2 * math.pi * dt)
-        expect = wf.carrier + wf.slope * t
-        assert abs(dphi - expect) / expect < 1e-6
-
-
-def test_chirp_value_zero_outside_support():
-    wf = WaveformConfig(pri=20e-6, slope=10e12, chirp_duration=15e-6,
-                        carrier=78e9, n_chirps=256, fps=25.0, n_elements=12,
-                        tx_power=0.01, element_gain=25.0, adc_rate=25e6)
-    assert chirp_value(wf, -1e-9) == 0j
-    assert chirp_value(wf, 15.1e-6) == 0j
-    assert abs(abs(chirp_value(wf, 1e-6)) - 1.0) < 1e-12
-
-
 def test_clock_drift_round_trip_and_scaling():
     wf = WaveformConfig(pri=20e-6, slope=10e12, chirp_duration=15e-6,
                         carrier=78e9, n_chirps=256, fps=25.0, n_elements=12,
@@ -100,14 +77,12 @@ def test_chirp_start_times_grid():
                         carrier=78e9, n_chirps=8, fps=25.0, n_elements=12,
                         tx_power=0.01, element_gain=25.0, adc_rate=25e6,
                         start_offset=3e-6)
-    t0 = chirp_start_times(wf, 0)
+    t0 = host_chirp_times(wf, 0)
     assert t0.shape == (8,)
     assert t0[0] == pytest.approx(3e-6)
     assert np.allclose(np.diff(t0), wf.pri)
-    t5 = chirp_start_times(wf, 5)
+    t5 = host_chirp_times(wf, 5)
     assert t5[0] == pytest.approx(3e-6 + 5 / 25.0)
-    with pytest.raises(ConfigurationError):
-        chirp_start_times(wf, -1)
 
 
 def test_config_validation():
