@@ -21,17 +21,19 @@ from .errors import ConfigurationError
 from .metrics import SweepResult, probability_of_detection, stable_mean
 from .mitigation import (MitigationPlan, Technique, apply_technique,
                          cross_pol_factor)
-from .processing import (ca_cfar, noise_floor, range_chirp, range_doppler,
-                         target_detected, target_exclusion_cells, target_snr_db)
+from .processing import (WINDOWS, ca_cfar, noise_floor, range_chirp,
+                         range_doppler, target_detected, target_exclusion_cells,
+                         target_snr_db)
 from .propagation import (PathKind, VehicleRects, echo_power, one_way_gain,
                           paths)
-from .scenario import (RadarInstance, Scenario, Topology, advance,
-                       assign_penetration, generate_highway,
+from .scenario import (CLOCK_DRIFT_PPM, RadarInstance, Scenario, Topology,
+                       advance, assign_penetration, generate_highway,
                        install_host_radar, install_radars, load_scenario)
 from .synthesis import (Emitter, TargetEcho, ThermalModel, can_beat_in_band,
                         chirp_times_in_window, host_chirp_times,
                         synthesize_dwell, write_cube)
-from .waveform import (ClockModel, RadarType, WaveformConfig, apply_clock_drift,
+from .waveform import (DEFAULT_ADC_RATE_HZ, WAVEFORM_RANGES, ClockModel,
+                       RadarType, WaveformConfig, apply_clock_drift,
                        sample_waveform)
 
 # rng substream tags (arbitrary distinct constants)
@@ -107,6 +109,16 @@ class RunConfig:
             raise ConfigurationError("penetration rates must be sorted within [0, 1]")
         if self.n_seeds < 1:
             raise ConfigurationError("n_seeds must be >= 1")
+        if self.window not in WINDOWS:
+            raise ConfigurationError(f"unknown window: {self.window}")
+        if not self.scenario_file:
+            if self.host_type not in HOST_TARGET_RANGE:
+                raise ConfigurationError(f"{self.host_type.value} cannot be a host radar")
+            # reference-target beat at the host class's steepest drifted slope
+            r = self.target_range or HOST_TARGET_RANGE[self.host_type]
+            slope = WAVEFORM_RANGES[self.host_type]["slope"][1]
+            if 2.0 * r * slope * (1 + CLOCK_DRIFT_PPM * 1e-6) / C0 > DEFAULT_ADC_RATE_HZ:
+                raise ConfigurationError(f"target_range {r:g} m: beat above the IF band")
 
     def metadata(self):
         md = {
@@ -150,8 +162,8 @@ def config_from_dict(d: dict) -> RunConfig:
     d = dict(d)
     preset = d.pop("preset", None)
     plan_d = dict(d.pop("plan", {}) or {})
-    if "technique" in d:
-        plan_d.setdefault("technique", d.pop("technique"))
+    if "technique" in d:  # the flat key carries command-line overrides
+        plan_d["technique"] = d.pop("technique")
     if plan_d:
         if "technique" in plan_d:
             plan_d["technique"] = Technique(plan_d["technique"])

@@ -45,19 +45,16 @@ class Detection:
     snr_db: float
 
 
-def _window(kind: str, n: int) -> np.ndarray:
-    if kind == "rect":
-        return np.ones(n)
-    if kind == "hann":
-        return np.hanning(n)
-    raise ConfigurationError(f"unknown window: {kind}")
+WINDOWS = {"rect": np.ones, "hann": np.hanning}
 
 
 def range_doppler(cube: IFCube, window: str = "hann") -> RangeDopplerMap:
     """Windowed 2-D FFT (fast-time then chirps), magnitude squared."""
+    if window not in WINDOWS:
+        raise ConfigurationError(f"unknown window: {window}")
     x = cube.samples
-    w_fast = _window(window, x.shape[0])
-    w_slow = _window(window, x.shape[1])
+    w_fast = WINDOWS[window](x.shape[0])
+    w_slow = WINDOWS[window](x.shape[1])
     # normalize so E|X|^2 of white noise equals the per-sample noise power
     y = np.fft.fft(x * w_fast[:, None], axis=0) / math.sqrt(np.sum(w_fast ** 2))
     y = np.fft.fft(y * w_slow[None, :], axis=1) / math.sqrt(np.sum(w_slow ** 2))
@@ -75,7 +72,7 @@ def range_doppler(cube: IFCube, window: str = "hann") -> RangeDopplerMap:
 
 def range_chirp(cube: IFCube) -> np.ndarray:
     """Power after the Hann-windowed range FFT only: [range bin, chirp]."""
-    w = _window("hann", cube.samples.shape[0])
+    w = np.hanning(cube.samples.shape[0])
     y = np.fft.fft(cube.samples * w[:, None], axis=0) / math.sqrt(np.sum(w ** 2))
     return np.abs(y) ** 2
 

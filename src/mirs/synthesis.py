@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.constants import c as C0
@@ -34,15 +33,6 @@ class ThermalModel:
     def power(self, adc_rate: float) -> float:
         """Per-sample complex noise power kT * f_s * NF [W]."""
         return K_B * self.temperature * adc_rate * 10 ** (self.noise_figure_db / 10.0)
-
-
-@dataclass(frozen=True)
-class BeatParams:
-    f_m: float
-    alpha_m: float
-    overlap: tuple          # (t_lo, t_hi) within the host chirp [s]
-    amplitude: float
-    phase_cycles: float = 0.0   # constant term f_i tau - alpha_i tau^2 / 2
 
 
 @dataclass(frozen=True)
@@ -78,29 +68,6 @@ class IFCube:
     @property
     def n_chirps(self):
         return self.samples.shape[1]
-
-
-def beat_params(host_chirp, intf_chirp, tau: float,
-                amplitude: float = 1.0) -> Optional[BeatParams]:
-    """Beat tone of one interferer chirp against one host chirp.
-
-    host_chirp / intf_chirp: (carrier, slope, duration).  tau is the arrival
-    time of the interferer chirp relative to the host chirp start (may be
-    negative).  Returns None when the chirps do not overlap in time.
-    """
-    f_v, a_v, t_v = host_chirp
-    f_i, a_i, t_i = intf_chirp
-    lo = max(0.0, tau)
-    hi = min(t_v, tau + t_i)
-    if hi <= lo:
-        return None
-    return BeatParams(
-        f_m=f_v - f_i + a_i * tau,
-        alpha_m=a_v - a_i,
-        overlap=(lo, hi),
-        amplitude=amplitude,
-        phase_cycles=f_i * tau - 0.5 * a_i * tau * tau,
-    )
 
 
 def can_beat_in_band(host: WaveformConfig, intf: WaveformConfig) -> bool:
@@ -162,68 +129,64 @@ def host_chirp_times(wf: WaveformConfig, dwell_index: int, tf_slot=None,
     return times
 
 
+def _runs(start: np.ndarray, n: np.ndarray):
+    """Concatenated runs start[r] + arange(n[r]): (run index, value) per element."""
+    run = np.repeat(np.arange(n.size), n)
+    return run, np.repeat(start - np.cumsum(n) + n, n) + np.arange(run.size)
+
+
 def interferer_arrivals(host_wf: WaveformConfig, host_times: np.ndarray,
                         emitter: Emitter):
-    """(host chirp index, tau) pairs for every overlapping interferer chirp."""
+    """(host chirp index, tau) pairs for every overlapping interferer chirp,
+    ordered by host chirp, then by arrival time."""
     arr = np.sort(emitter.chirp_times)
-    if arr.size == 0:
-        return np.empty(0, dtype=int), np.empty(0)
     t_i = emitter.waveform.chirp_duration
     t_v = host_wf.chirp_duration
-    ks, taus = [], []
-    idx = np.searchsorted(arr, host_times)
-    for off in (-2, -1, 0, 1):
-        j = idx + off
-        ok = (j >= 0) & (j < arr.size)
-        if not np.any(ok):
-            continue
-        tau = np.where(ok, arr[np.clip(j, 0, arr.size - 1)] - host_times, np.inf)
-        ok &= (tau < t_v) & (tau > -t_i)
-        k = np.nonzero(ok)[0]
-        ks.append(k)
-        taus.append(tau[k])
-    if not ks:
-        return np.empty(0, dtype=int), np.empty(0)
-    return np.concatenate(ks), np.concatenate(taus)
+    # candidates start in (t - T_i, t + T_v), widened by one chirp per side so
+    # that rounding in the window edges cannot drop an overlap
+    j0 = np.maximum(np.searchsorted(arr, host_times - t_i) - 1, 0)
+    j1 = np.minimum(np.searchsorted(arr, host_times + t_v) + 1, arr.size)
+    k, j = _runs(j0, np.maximum(j1 - j0, 0))
+    tau = arr[j] - host_times[k]
+    ok = (tau < t_v) & (tau > -t_i)
+    return k[ok], tau[ok]
 
 
-def _inband_window(f_m, alpha_m, lo, hi, fs):
-    """Clip [lo, hi] to instantaneous frequencies inside [0, fs]."""
-    if alpha_m > 0:
-        lo = max(lo, (0.0 - f_m) / alpha_m)
-        hi = min(hi, (fs - f_m) / alpha_m)
-    elif alpha_m < 0:
-        lo = max(lo, (fs - f_m) / alpha_m)
-        hi = min(hi, (0.0 - f_m) / alpha_m)
-    elif not (0.0 <= f_m <= fs):
-        return None
-    if hi <= lo:
-        return None
-    return lo, hi
-
-
-def add_beat_burst(cube: np.ndarray, host_wf: WaveformConfig, chirp_idx: int,
-                   bp: BeatParams, lpf_gating: bool = True):
-    """Accumulate one beat chirp into the cube column chirp_idx."""
+def add_beats(cube: np.ndarray, host_wf: WaveformConfig, emitter: Emitter,
+              ks: np.ndarray, taus: np.ndarray, lpf_gating: bool):
+    """Accumulate one emitter's beat bursts, one per arrival (ks[b], taus[b]),
+    into the cube columns ks."""
     fs = host_wf.adc_rate
     n_fast = cube.shape[0]
-    lo, hi = bp.overlap
-    lo = max(lo, 0.0)
-    hi = min(hi, n_fast / fs)
+    wf = emitter.waveform
+    f_m = host_wf.carrier - wf.carrier + wf.slope * taus
+    alpha_m = host_wf.slope - wf.slope
+    # overlap of the two chirps, then of the ADC record
+    lo = np.maximum(taus, 0.0)
+    hi = np.minimum(host_wf.chirp_duration, taus + wf.chirp_duration)
+    ok = hi > lo
+    hi = np.minimum(hi, n_fast / fs)
     if lpf_gating:
-        win = _inband_window(bp.f_m, bp.alpha_m, lo, hi, fs)
-        if win is None:
-            return
-        lo, hi = win
-    m0 = int(math.ceil(lo * fs - 1e-9))
-    m1 = int(math.floor(hi * fs + 1e-9)) + 1
-    m0 = max(m0, 0)
-    m1 = min(m1, n_fast)
-    if m1 <= m0:
-        return
-    t = np.arange(m0, m1) / fs
-    cycles = bp.f_m * t + 0.5 * bp.alpha_m * t * t + bp.phase_cycles
-    cube[m0:m1, chirp_idx] += bp.amplitude * np.exp(2j * np.pi * (cycles % 1.0))
+        # keep instantaneous beat frequencies f_m + alpha_m t inside [0, fs]
+        if alpha_m > 0:
+            lo = np.maximum(lo, (0.0 - f_m) / alpha_m)
+            hi = np.minimum(hi, (fs - f_m) / alpha_m)
+        elif alpha_m < 0:
+            lo = np.maximum(lo, (fs - f_m) / alpha_m)
+            hi = np.minimum(hi, (0.0 - f_m) / alpha_m)
+        else:
+            ok &= (0.0 <= f_m) & (f_m <= fs)
+        ok &= hi > lo
+    m0 = np.clip(np.ceil(lo * fs - 1e-9), 0, n_fast).astype(np.int64)
+    m1 = np.clip(np.floor(hi * fs + 1e-9) + 1, 0, n_fast).astype(np.int64)
+    burst, m = _runs(m0, np.where(ok, np.maximum(m1 - m0, 0), 0))
+    t = m / fs
+    phase = wf.carrier * taus - 0.5 * wf.slope * taus * taus
+    cycles = f_m[burst] * t + 0.5 * alpha_m * t * t + phase[burst]
+    # chirps of one emitter never overlap, so a cell is hit at most once
+    # except where two bursts share an edge sample; add.at keeps both adds
+    np.add.at(cube, (m, ks[burst]),
+              emitter.amplitude * np.exp(2j * np.pi * (cycles % 1.0)))
 
 
 def synthesize_dwell(host_wf: WaveformConfig, host_times: np.ndarray,
@@ -255,17 +218,10 @@ def synthesize_dwell(host_wf: WaveformConfig, host_times: np.ndarray,
         phases = np.exp(2j * np.pi * f_d * (host_times - host_times[0]))
         cube += np.outer(tone, phases)
 
-    host_chirp = (host_wf.carrier, host_wf.slope, host_wf.chirp_duration)
     for em in emitters:
-        if em.amplitude <= 0.0 or em.chirp_times.size == 0:
-            continue
-        intf_wf = em.waveform
-        intf_chirp = (intf_wf.carrier, intf_wf.slope, intf_wf.chirp_duration)
-        ks, taus = interferer_arrivals(host_wf, host_times, em)
-        for k, tau in zip(ks, taus):
-            bp = beat_params(host_chirp, intf_chirp, tau, amplitude=em.amplitude)
-            if bp is not None:
-                add_beat_burst(cube, host_wf, int(k), bp, lpf_gating=lpf_gating)
+        if em.amplitude > 0.0:
+            ks, taus = interferer_arrivals(host_wf, host_times, em)
+            add_beats(cube, host_wf, em, ks, taus, lpf_gating)
     return IFCube(samples=cube, fast_time_step=1.0 / fs, host=host_wf)
 
 

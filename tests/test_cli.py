@@ -89,3 +89,33 @@ def test_preset_flag(tmp_path):
                "--rates", "0.0", "--out", str(out)])
     assert rc == 0
     assert "# host_type=SBZA" in out.read_text()
+
+
+def test_technique_flag_wins_over_nested_plan(tmp_path):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("density: low\ntopology: front\nhost_type: LRR\n"
+                   "n_seeds: 1\nn_dwells: 1\npenetration_rates: [0.0]\n"
+                   "plan: {technique: time_dithering}\n")
+    out = tmp_path / "o.csv"
+    rc = main(["sweep", "--config", str(cfg), "--technique", "none",
+               "--out", str(out)])
+    assert rc == 0
+    assert "# technique=none" in out.read_text()
+
+
+@pytest.mark.parametrize("text, why", [
+    ("host_type: LRR\ntarget_range: 450\n", "above the IF band"),
+    ("window: kaiser\n", "unknown window: kaiser"),
+    ("host_type: USRR\n", "USRR cannot be a host radar"),
+], ids=["target_beyond_if_band", "unknown_window", "interferer_only_host"])
+def test_bad_config_fails_before_any_scene(tmp_path, capsys, monkeypatch, text, why):
+    def no_scene(*args, **kwargs):
+        raise AssertionError("a scene was built")
+    monkeypatch.setattr("mirs.harness.build_scene", no_scene)
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(text)
+    rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and why in err
+    assert err.count("\n") == 1 and "Traceback" not in err

@@ -1,14 +1,17 @@
 """IF cube synthesis: beat model, timing, noise, LPF gating, cube I/O."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.constants import c as C0
 from scipy.constants import k as K_B
 
 from mirs.errors import ConfigurationError
 from mirs.synthesis import (Emitter, IFCube, TargetEcho, ThermalModel,
-                            add_beat_burst, beat_params, can_beat_in_band,
+                            add_beats, can_beat_in_band,
                             chirp_times_in_window, host_chirp_times,
                             interferer_arrivals, read_cube, synthesize_dwell,
                             write_cube)
@@ -24,28 +27,40 @@ def quiet_noise():
     return ThermalModel(noise_figure_db=0.001)
 
 
-def test_beat_params_formula():
+def beats(host, intf, taus, lpf_gating=True):
+    """Fast-time samples add_beats writes into one empty host chirp column."""
+    cube = np.zeros((host.n_fast, 1), dtype=complex)
+    taus = np.asarray(taus, dtype=float)
+    em = Emitter(waveform=intf, amplitude=1.0, chirp_times=np.empty(0))
+    add_beats(cube, host, em, np.zeros(taus.size, dtype=int), taus, lpf_gating)
+    return cube[:, 0]
+
+
+def test_add_beats_formula():
     # hand-checkable case: carriers 1 MHz apart, interferer slope puts the
-    # beat at f_v - f_i + a_i tau
-    host = (77.000e9, 10e12, 15e-6)
-    intf = (76.999e9, 8e12, 15e-6)
+    # beat at f_v - f_i + a_i tau = 13 MHz, sweeping at a_v - a_i = 2 MHz/us
+    host = replace(HOST, carrier=77.000e9, slope=10e12, chirp_duration=15e-6)
+    intf = replace(HOST, carrier=76.999e9, slope=8e12, chirp_duration=15e-6)
     tau = 1.5e-6
-    bp = beat_params(host, intf, tau)
-    assert bp.f_m == pytest.approx(1e6 + 8e12 * tau)  # 13 MHz
-    assert bp.f_m == pytest.approx(13e6)
-    assert bp.alpha_m == pytest.approx(2e12)
-    assert bp.overlap == (pytest.approx(1.5e-6), pytest.approx(15e-6))
-    assert bp.phase_cycles == pytest.approx(76.999e9 * tau - 0.5 * 8e12 * tau ** 2)
+    x = beats(host, intf, [tau], lpf_gating=False)
+    t = np.arange(host.n_fast) / host.adc_rate
+    f_m, alpha_m = 1e6 + 8e12 * tau, 2e12
+    want = np.exp(2j * np.pi * (f_m * t + alpha_m * t ** 2 / 2
+                                + 76.999e9 * tau - 8e12 * tau ** 2 / 2))
+    on = (t >= tau) & (t <= 15e-6)  # the overlap [tau, T_v]
+    assert np.count_nonzero(on) > 300
+    assert np.allclose(x[on], want[on], rtol=0, atol=1e-6)
+    assert not np.any(x[~on])
 
 
-def test_beat_params_no_overlap_returns_none():
-    host = (77e9, 10e12, 15e-6)
-    intf = (77e9, 10e12, 15e-6)
-    assert beat_params(host, intf, 20e-6) is None
-    assert beat_params(host, intf, -20e-6) is None
-    # negative tau with partial overlap is accepted
-    bp = beat_params(host, intf, -5e-6)
-    assert bp.overlap == (pytest.approx(0.0), pytest.approx(10e-6))
+def test_add_beats_overlap_bounds():
+    wf = replace(HOST, carrier=77e9, slope=10e12, chirp_duration=15e-6)
+    # an arrival 20 us early or late misses the 15 us host chirp
+    assert not np.any(beats(wf, wf, [20e-6, -20e-6], lpf_gating=False))
+    # negative tau with partial overlap fills exactly [0, 10 us]
+    x = beats(wf, wf, [-5e-6], lpf_gating=False)
+    t = np.arange(wf.n_fast) / wf.adc_rate
+    assert np.array_equal(x != 0, t <= 10e-6 * (1 + 1e-12))
 
 
 def test_can_beat_in_band():
@@ -159,17 +174,15 @@ def test_lpf_gating_only_removes_power():
 
 
 def test_inband_sample_selection_brute_force():
-    # add_beat_burst's gating window equals a per-sample instantaneous
-    # frequency test
+    # add_beats' gating window equals a per-sample instantaneous frequency
+    # test
     fs = HOST.adc_rate
     n_fast = HOST.n_fast
     for f_m, alpha_m in ((-5e6, 3e12), (30e6, -4e12), (5e6, 0.0), (-40e6, 0.0)):
-        cube = np.zeros((n_fast, 1), dtype=complex)
-        from mirs.synthesis import BeatParams
-        bp = BeatParams(f_m=f_m, alpha_m=alpha_m, overlap=(0.0, n_fast / fs),
-                        amplitude=1.0)
-        add_beat_burst(cube, HOST, 0, bp, lpf_gating=True)
-        got = np.abs(cube[:, 0]) > 0.5
+        # tau = 0 against an equally long chirp: the whole record overlaps
+        intf = replace(HOST, carrier=HOST.carrier - f_m,
+                       slope=HOST.slope - alpha_m)
+        got = np.abs(beats(HOST, intf, [0.0])) > 0.5
         t = np.arange(n_fast) / fs
         f_inst = f_m + alpha_m * t
         want = (f_inst >= -1e-3) & (f_inst <= fs + 1e-3)
@@ -261,6 +274,32 @@ def test_interferer_arrivals_modular_walk():
     for k in range(0, 40):
         want = k * dpri
         assert any(abs(t - want) < 1e-12 for t in by_k.get(k, [])), k
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_interferer_arrivals_matches_brute_force(data):
+    # random host grids against interferer trains, dense ones included (PRIs
+    # far below T_v / 2 put many interferer chirps inside one host chirp)
+    t_v = data.draw(st.floats(5e-6, 20e-6), label="host chirp")
+    host = replace(HOST, chirp_duration=t_v,
+                   pri=t_v * data.draw(st.floats(1.0, 2.0), label="host duty"))
+    host_times = data.draw(st.floats(-50e-6, 50e-6), label="host start") \
+        + np.arange(data.draw(st.integers(1, 12), label="host chirps")) * host.pri
+    t_i = data.draw(st.floats(0.5e-6, 20e-6), label="intf chirp")
+    intf = replace(HOST, chirp_duration=t_i,
+                   pri=t_i * data.draw(st.floats(1.0, 3.0), label="intf duty"))
+    n_i = data.draw(st.integers(0, 80), label="intf chirps")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32), label="seed"))
+    # start jitter in [0, pri - T_i] keeps the interferer's chirps disjoint
+    jitter = rng.uniform(0.0, intf.pri - t_i, n_i) * data.draw(st.booleans())
+    times = (data.draw(st.floats(-100e-6, 100e-6), label="intf start")
+             + np.arange(n_i) * intf.pri + jitter)
+    em = Emitter(waveform=intf, amplitude=1.0, chirp_times=rng.permutation(times))
+    ks, taus = interferer_arrivals(host, host_times, em)
+    want = sorted((k, a - h) for k, h in enumerate(host_times.tolist())
+                  for a in times.tolist() if -t_i < a - h < t_v)
+    assert sorted(zip(ks.tolist(), taus.tolist())) == want
 
 
 def test_cube_round_trip(tmp_path):
