@@ -24,8 +24,8 @@ from .mitigation import (MitigationPlan, Technique, apply_technique,
 from .processing import (WINDOWS, ca_cfar, noise_floor, range_chirp,
                          range_doppler, target_detected, target_exclusion_cells,
                          target_snr_db)
-from .propagation import (PathKind, VehicleRects, echo_power, one_way_gain,
-                          paths)
+from .propagation import (PATH_KINDS, PathKind, echo_power, one_way_gain,
+                          paths, vehicle_rects)
 from .scenario import (CLOCK_DRIFT_PPM, RadarInstance, Scenario, Topology,
                        advance, assign_penetration, generate_highway,
                        install_host_radar, install_radars, load_scenario)
@@ -107,8 +107,10 @@ class RunConfig:
         rates = tuple(self.penetration_rates)
         if list(rates) != sorted(rates) or any(not 0 <= r <= 1 for r in rates):
             raise ConfigurationError("penetration rates must be sorted within [0, 1]")
-        if self.n_seeds < 1:
-            raise ConfigurationError("n_seeds must be >= 1")
+        for name, least in (("n_seeds", 1), ("n_dwells", 0), ("workers", 1),
+                            ("cfar_guard", 0)):
+            if getattr(self, name) < least:
+                raise ConfigurationError(f"{name} must be >= {least}")
         if self.window not in WINDOWS:
             raise ConfigurationError(f"unknown window: {self.window}")
         if not self.scenario_file:
@@ -164,22 +166,26 @@ def config_from_dict(d: dict) -> RunConfig:
     plan_d = dict(d.pop("plan", {}) or {})
     if "technique" in d:  # the flat key carries command-line overrides
         plan_d["technique"] = d.pop("technique")
-    if plan_d:
-        if "technique" in plan_d:
-            plan_d["technique"] = Technique(plan_d["technique"])
-        d["plan"] = MitigationPlan(**plan_d)
-    if "topology" in d:
-        d["topology"] = Topology(d["topology"])
-    if "host_type" in d:
-        d["host_type"] = RadarType(d["host_type"])
-    if "penetration_rates" in d:
-        d["penetration_rates"] = tuple(d["penetration_rates"])
     try:
+        if plan_d:
+            if "technique" in plan_d:
+                plan_d["technique"] = Technique(plan_d["technique"])
+            d["plan"] = MitigationPlan(**plan_d)
+        if "topology" in d:
+            d["topology"] = Topology(d["topology"])
+        if "host_type" in d:
+            d["host_type"] = RadarType(d["host_type"])
+        if "penetration_rates" in d:
+            d["penetration_rates"] = tuple(d["penetration_rates"])
         if preset is not None:
             return preset_config(int(preset), **d)
         return RunConfig(**d)
+    except ConfigurationError:
+        raise
     except TypeError as e:
         raise ConfigurationError(f"bad config key: {e}")
+    except ValueError as e:   # an unknown enum value or a non-integer preset
+        raise ConfigurationError(f"bad config value: {e}")
 
 
 def load_config(path=None, **overrides) -> RunConfig:
@@ -202,8 +208,7 @@ def build_scene(cfg: RunConfig, seed_index: int) -> Scenario:
     rng = np.random.default_rng(
         np.random.SeedSequence([cfg.seed, seed_index, SCEN_TAG]))
     if cfg.scenario_file:
-        scen = load_scenario(cfg.scenario_file)
-        return scen
+        return load_scenario(cfg.scenario_file)
     t_range = cfg.target_range or HOST_TARGET_RANGE[cfg.host_type]
     scen = generate_highway(cfg.density, rng=rng, duration=cfg.duration,
                             target_rcs_dbsm=cfg.target_rcs_dbsm,
@@ -248,43 +253,66 @@ class DwellResult:
     n_emitters: int = 0
 
 
+# one row per interferer radar of a snapshot, built afresh for every dwell
+RADAR_ROW = np.dtype([("vehicle", np.intp), ("radar", np.intp)] + [
+    (f, float) for f in ("x", "y", "bore", "fov", "gain", "carrier", "slope",
+                         "chirp_duration")])
+
+
 def build_emitters(snap: Scenario, host_pos, host_bore, hr: RadarInstance,
                    host_wf: WaveformConfig, t0: float, t1: float,
                    seed_key) -> list:
-    """One Emitter per interferer radar and unblocked propagation path."""
-    rects = VehicleRects(snap.vehicles)
-    host_id = snap.host_vehicle_id
+    """One Emitter per interferer radar and unblocked, in-sector propagation
+    path, in (vehicle, radar, path kind) order."""
+    vehicles = snap.vehicles
+    host = next(i for i, v in enumerate(vehicles)
+                if v.id == snap.host_vehicle_id)
+    radars = [(i, ri, v.center[0], v.center[1], v.heading, r.mount[0],
+               r.mount[1], r.boresight, r.fov_halfwidth, r.waveform.rx_gain,
+               r.clock.drift_ppm, r.waveform.carrier, r.waveform.slope,
+               r.waveform.chirp_duration)
+              for i, v in enumerate(vehicles) if i != host
+              for ri, r in enumerate(v.radars)]
+    if not radars:
+        return []
+    (vi, ri, cx, cy, heading, mx, my, bore, fov, gain, ppm, carrier, slope,
+     chirp) = np.array(radars, dtype=float).T
+    # Vehicle.radar_world_* and the clock-drift products of apply_clock_drift
+    c = np.cos(heading)
+    f = 1.0 + ppm * 1e-6
+    table = np.rec.fromarrays(
+        (vi, ri, cx + c * mx, cy + c * my, heading + bore, fov, gain,
+         carrier * f, slope * f, chirp / f), dtype=RADAR_ROW)
+    tx = table[can_beat_in_band(host_wf, table)]
+    p = paths(tx, host_pos, host_bore, hr.fov_halfwidth, host,
+              vehicle_rects(vehicles), snap.geometry)
+    gains = one_way_gain(p, tx, hr.waveform.rx_gain)
+    live = p[~p.blocked]
     out = []
-    for v in snap.vehicles:
-        if v.id == host_id:
+    last = -1
+    for row, vi, ri, kind, length, g in zip(
+            live.row.tolist(), tx.vehicle[live.row].tolist(),
+            tx.radar[live.row].tolist(), live.kind.tolist(),
+            live.length.tolist(), gains.tolist()):
+        if g <= 0.0:
             continue
-        for ri, r in enumerate(v.radars):
+        v, kind = vehicles[vi], PATH_KINDS[kind]
+        r = v.radars[ri]
+        g *= cross_pol_factor(r.polarization, hr.polarization,
+                              reflected=kind is not PathKind.DIRECT)
+        delay = length / C0
+        if row != last:       # the radar's first path sets its chirp window
+            last = row
             wf_i = r.drifted()
-            if not can_beat_in_band(host_wf, wf_i):
-                continue
-            pos_i = v.radar_world_position(r)
-            bore_i = v.radar_world_boresight(r)
-            times = None
-            for p in paths(pos_i, host_pos, snap, exclude_ids=(v.id, host_id),
-                           rects=rects):
-                if p.blocked:
-                    continue
-                g = one_way_gain(p, r, bore_i, hr, host_bore)
-                if g <= 0.0:
-                    continue
-                g *= cross_pol_factor(r.polarization, hr.polarization,
-                                      reflected=p.kind is not PathKind.DIRECT)
-                delay = p.length / C0
-                if times is None:
-                    times = chirp_times_in_window(
-                        wf_i, t0 - delay, t1 - delay, tf_slot=r.tf_slot,
-                        dither_bound=r.dither_bound,
-                        dither_seed=tuple(seed_key) + (v.id, ri))
-                if times.size == 0:
-                    continue
-                out.append(Emitter(
-                    waveform=wf_i, amplitude=math.sqrt(wf_i.tx_power * g),
-                    chirp_times=times + delay, key=(v.id, ri, p.kind.value)))
+            times = chirp_times_in_window(
+                wf_i, t0 - delay, t1 - delay, tf_slot=r.tf_slot,
+                dither_bound=r.dither_bound,
+                dither_seed=tuple(seed_key) + (v.id, ri))
+        if times.size == 0:
+            continue
+        out.append(Emitter(
+            waveform=wf_i, amplitude=math.sqrt(wf_i.tx_power * g),
+            chirp_times=times + delay, key=(v.id, ri, kind.value)))
     return out
 
 

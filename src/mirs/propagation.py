@@ -15,9 +15,10 @@ import numpy as np
 from scipy.constants import c as C0
 
 from .errors import ConfigurationError
-from .scenario import RadarInstance, Scenario, Vehicle
+from .scenario import RadarInstance, RoadGeometry
 
 CONCRETE_INDEX = 2.52 - 0.076j
+BOX_MARGIN = 1e-6         # bounding-box slack of the blockage prefilter [m]
 
 
 class PathKind(enum.Enum):
@@ -26,14 +27,11 @@ class PathKind(enum.Enum):
     WALL_LOWER = "wall_reflect_lower"
 
 
-@dataclass(frozen=True)
-class PropagationPath:
-    kind: PathKind
-    length: float
-    departure_angle: float   # world angle of the first leg at the tx
-    arrival_angle: float     # world angle pointing from the rx toward the last leg
-    reflection_coeff: complex
-    blocked: bool
+# path kinds in the order paths() builds them: direct, then one bounce per
+# wall of RoadGeometry.wall_ys (lower, upper)
+PATH_KINDS = (PathKind.DIRECT, PathKind.WALL_LOWER, PathKind.WALL_UPPER)
+PATH_DTYPE = np.dtype([("row", np.intp), ("kind", np.int8), ("length", float),
+                       ("theta", float), ("blocked", bool)])
 
 
 @dataclass(frozen=True)
@@ -54,128 +52,124 @@ def fresnel_reflection(theta: float, material: MaterialModel = MaterialModel()) 
     return (n2 * math.cos(theta) - root) / (n2 * math.cos(theta) + root)
 
 
-def _rect_bounds(v: Vehicle):
-    hx, hy = v.half_extents
-    return (v.center[0] - hx, v.center[0] + hx, v.center[1] - hy, v.center[1] + hy)
+def vehicle_rects(vehicles) -> np.ndarray:
+    """Footprint rectangles (xmin, xmax, ymin, ymax), one row per vehicle."""
+    ext = [(v.center, v.half_extents) for v in vehicles]
+    return np.array([(x - hx, x + hx, y - hy, y + hy)
+                     for (x, y), (hx, hy) in ext], dtype=float).reshape(-1, 4)
 
 
-class VehicleRects:
-    """Per-snapshot cache of vehicle footprint rectangles for blockage tests."""
+def segments_blocked(p, q, owner, host, rects) -> np.ndarray:
+    """Which segments p[k] -> q[k] cross a vehicle rectangle other than
+    rects[owner[k]] and rects[host]; touching at an endpoint does not count.
 
-    def __init__(self, vehicles):
-        self.ids = np.array([v.id for v in vehicles])
-        self.rects = (np.array([_rect_bounds(v) for v in vehicles])
-                      if len(list(vehicles)) else np.empty((0, 4)))
-
-    def blocked(self, p, q, exclude_ids=()) -> bool:
-        if self.rects.shape[0] == 0:
-            return False
-        rects = self.rects
-        if exclude_ids:
-            keep = ~np.isin(self.ids, list(exclude_ids))
-            rects = rects[keep]
-            if rects.shape[0] == 0:
-                return False
-        return bool(np.any(_segment_hits_rects(p, q, rects)))
-
-
-def _segment_hits_rects(p, q, rects: np.ndarray) -> np.ndarray:
-    """Vectorized slab test of one segment against axis-aligned rectangles.
-
-    rects: array [n, 4] of (xmin, xmax, ymin, ymax).  Intersections at the very
-    endpoints of the segment do not count as blockage.
+    A bounding-box prefilter picks the (segment, rectangle) pairs that can
+    meet, and only those go through the slab test.
     """
-    px, py = p
-    dx, dy = q[0] - px, q[1] - py
-    eps = 1e-12
-    t0 = np.zeros(len(rects))
-    t1 = np.ones(len(rects))
-    ok = np.ones(len(rects), dtype=bool)
-    for d, o, lo, hi in ((dx, px, rects[:, 0], rects[:, 1]),
-                         (dy, py, rects[:, 2], rects[:, 3])):
-        if abs(d) < eps:
-            ok &= (o > lo) & (o < hi)
-        else:
-            ta = (lo - o) / d
-            tb = (hi - o) / d
-            tmin = np.minimum(ta, tb)
-            tmax = np.maximum(ta, tb)
-            t0 = np.maximum(t0, tmin)
-            t1 = np.minimum(t1, tmax)
+    lo = np.minimum(p, q) - BOX_MARGIN
+    hi = np.maximum(p, q) + BOX_MARGIN
+    r = rects.T
+    near = r[0] < hi[:, :1]
+    near &= r[1] > lo[:, :1]
+    near &= r[2] < hi[:, 1:]
+    near &= r[3] > lo[:, 1:]
+    near[np.arange(len(p)), owner] = False
+    near[:, host] = False
+    seg, rect = np.nonzero(near)
+    # Slab test.  A segment along an axis (|d| < 1e-12) divides by zero
+    # there: +-inf leaves t0, t1 as they are when it runs strictly inside
+    # the slab, and +inf, -inf or nan (on an edge) rule the pair out.
+    d = q - p
+    d[np.abs(d) < 1e-12] = 0.0
+    t0, t1 = 0.0, 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for axis in (0, 1):
+            o, dd = p[seg, axis], d[seg, axis]
+            ta = (rects[rect, 2 * axis] - o) / dd
+            tb = (rects[rect, 2 * axis + 1] - o) / dd
+            t0 = np.maximum(t0, np.minimum(ta, tb))
+            t1 = np.minimum(t1, np.maximum(ta, tb))
     # open-segment test: require a genuine interior crossing
-    return ok & (t0 < t1 - 1e-12) & (t1 > 1e-9) & (t0 < 1 - 1e-9)
-
-
-def paths(tx, rx, scenario: Scenario, exclude_ids=(),
-          rects: VehicleRects = None):
-    """Direct plus one image-method bounce per wall between points tx and rx.
-
-    Blocked paths are returned with blocked=True; bounce points falling outside
-    the road span are omitted.  Pass a VehicleRects cache when calling many
-    times against one frozen snapshot.
-    """
-    if tx == rx:
-        raise ConfigurationError("tx and rx coincide")
-    vehicles = scenario.vehicles
-    if rects is None:
-        rects = VehicleRects(vehicles)
-    out = []
-
-    d = math.hypot(rx[0] - tx[0], rx[1] - tx[1])
-    ang = math.atan2(rx[1] - tx[1], rx[0] - tx[0])
-    out.append(PropagationPath(
-        kind=PathKind.DIRECT, length=d, departure_angle=ang,
-        arrival_angle=math.atan2(tx[1] - rx[1], tx[0] - rx[0]),
-        reflection_coeff=1 + 0j,
-        blocked=rects.blocked(tx, rx, exclude_ids)))
-
-    for kind, wall_y in ((PathKind.WALL_LOWER, scenario.geometry.wall_ys[0]),
-                         (PathKind.WALL_UPPER, scenario.geometry.wall_ys[1])):
-        img_y = 2 * wall_y - tx[1]
-        dy_total = img_y - rx[1]
-        if abs(dy_total) < 1e-12:
-            continue  # both points on the wall line
-        t = (wall_y - img_y) / (rx[1] - img_y)
-        bx = tx[0] + t * (rx[0] - tx[0])
-        if not (0.0 <= bx <= scenario.geometry.road_length):
-            continue
-        bounce = (bx, wall_y)
-        length = math.hypot(rx[0] - tx[0], (abs(wall_y - tx[1]) + abs(wall_y - rx[1])))
-        # incidence angle from the wall normal (normal is the y axis)
-        theta = math.atan2(abs(rx[0] - tx[0]),
-                           abs(wall_y - tx[1]) + abs(wall_y - rx[1]))
-        coeff = fresnel_reflection(theta)
-        blocked = (rects.blocked(tx, bounce, exclude_ids)
-                   or rects.blocked(bounce, rx, exclude_ids))
-        out.append(PropagationPath(
-            kind=kind, length=length,
-            departure_angle=math.atan2(bounce[1] - tx[1], bounce[0] - tx[0]),
-            arrival_angle=math.atan2(bounce[1] - rx[1], bounce[0] - rx[0]),
-            reflection_coeff=coeff, blocked=blocked))
+    hit = (t0 < t1 - 1e-12) & (t1 > 1e-9) & (t0 < 1 - 1e-9)
+    out = np.zeros(len(p), dtype=bool)
+    out[seg[hit]] = True
     return out
 
 
-def _wrap(a):
-    return (a + math.pi) % (2 * math.pi) - math.pi
+def _in_sector(angle, boresight, fov_halfwidth):
+    """Flat-sector antenna: full gain within the FOV half-width, none outside."""
+    wrapped = (angle - boresight + math.pi) % (2 * math.pi) - math.pi
+    return abs(wrapped) <= fov_halfwidth
 
 
-def sector_gain(radar: RadarInstance, world_boresight: float, angle: float) -> float:
-    """Flat-sector antenna gain: n_el * g_el inside the FOV, zero outside."""
-    if abs(_wrap(angle - world_boresight)) <= radar.fov_halfwidth:
-        return radar.waveform.rx_gain
-    return 0.0
+def paths(tx, rx, rx_bore, rx_fov, host, rects, geometry: RoadGeometry):
+    """Direct plus one image-method bounce per wall from every radar row of
+    `tx` (fields x, y, bore, fov, vehicle) to the receiver at `rx`.
+
+    Only paths inside both antennas' sectors are kept, and only their legs
+    are tested for blockage by the vehicles in `rects`, skipping the tx
+    radar's own vehicle and the receiver's (`host`).  Bounce points outside
+    the road span are omitted.  Returns a record array ordered by (row,
+    PATH_KINDS index), with fields row, kind (the PATH_KINDS index), length,
+    theta (incidence angle from the wall normal; 0 for the direct path) and
+    blocked.
+    """
+    x, y = tx.x, tx.y
+    rx_x, rx_y = rx
+    if np.any((x == rx_x) & (y == rx_y)):
+        raise ConfigurationError("tx and rx coincide")
+    n = len(tx)
+    parts = []
+    for k, wall_y in enumerate((None,) + geometry.wall_ys):
+        points = [(x, y), (np.full(n, rx_x), np.full(n, rx_y))]
+        if wall_y is None:
+            valid = np.ones(n, dtype=bool)
+            dy = np.abs(rx_y - y)
+        else:
+            img_y = 2 * wall_y - y
+            valid = np.abs(img_y - rx_y) >= 1e-12   # else both on the wall line
+            t = (wall_y - img_y) / np.where(valid, rx_y - img_y, 1.0)
+            bx = x + t * (rx_x - x)
+            valid &= (0.0 <= bx) & (bx <= geometry.road_length)
+            points.insert(1, (bx, np.full(n, wall_y)))
+            dy = np.abs(wall_y - y) + np.abs(wall_y - rx_y)
+        # leave toward the first point after tx, arrive from the last before rx
+        (fx, fy), (lx, ly) = points[1], points[-2]
+        keep = np.flatnonzero(
+            valid & _in_sector(np.arctan2(fy - y, fx - x), tx.bore, tx.fov)
+            & _in_sector(np.arctan2(ly - rx_y, lx - rx_x), rx_bore, rx_fov))
+        blocked = np.zeros(len(keep), dtype=bool)
+        for (px, py), (qx, qy) in zip(points, points[1:]):
+            blocked |= segments_blocked(
+                np.column_stack((px[keep], py[keep])),
+                np.column_stack((qx[keep], qy[keep])),
+                tx.vehicle[keep], host, rects)
+        # math's hypot and atan2, not numpy's, which round differently in the
+        # last bits: amplitudes and delays match the scalar reference bit for bit
+        dxy = list(zip(np.abs(rx_x - x[keep]).tolist(), dy[keep].tolist()))
+        length = [math.hypot(a, b) for a, b in dxy]
+        theta = [math.atan2(a, b) if k else 0.0 for a, b in dxy]
+        parts.append(np.rec.fromarrays(
+            (keep, np.full(len(keep), k), length, theta, blocked),
+            dtype=PATH_DTYPE))
+    out = np.concatenate(parts).view(np.recarray)
+    return out[np.lexsort((out.kind, out.row))]
 
 
-def one_way_gain(path: PropagationPath, tx_radar: RadarInstance, tx_boresight: float,
-                 rx_radar: RadarInstance, rx_boresight: float) -> float:
-    """G_tx * G_rx * |R|^2 * (lambda / 4 pi L)^2 for an unblocked path."""
-    if path.blocked:
-        raise ConfigurationError("gain undefined for a blocked path")
-    gt = sector_gain(tx_radar, tx_boresight, path.departure_angle)
-    gr = sector_gain(rx_radar, rx_boresight, path.arrival_angle)
-    lam = C0 / tx_radar.drifted().carrier
-    spread = (lam / (4 * math.pi * path.length)) ** 2
-    return gt * gr * abs(path.reflection_coeff) ** 2 * spread
+def one_way_gain(p, tx, rx_gain: float) -> np.ndarray:
+    """G_tx * G_rx * |R|^2 * (lambda / 4 pi L)^2 for each unblocked row of the
+    in-sector paths `p`, whose rows index `tx` (fields gain and the drifted
+    carrier)."""
+    live = p[~p.blocked]
+    out = []
+    for gt, f, k, length, theta in zip(
+            tx.gain[live.row].tolist(), tx.carrier[live.row].tolist(),
+            live.kind.tolist(), live.length.tolist(), live.theta.tolist()):
+        coeff = fresnel_reflection(theta) if k else 1 + 0j
+        lam = C0 / f
+        spread = (lam / (4 * math.pi * length)) ** 2
+        out.append(gt * rx_gain * abs(coeff) ** 2 * spread)
+    return np.array(out)
 
 
 def echo_power(radar: RadarInstance, radar_pos, radar_boresight,
@@ -189,7 +183,7 @@ def echo_power(radar: RadarInstance, radar_pos, radar_boresight,
     if R <= 0:
         raise ConfigurationError("target coincides with the radar")
     ang = math.atan2(target_pos[1] - radar_pos[1], target_pos[0] - radar_pos[0])
-    if abs(_wrap(ang - radar_boresight)) > radar.fov_halfwidth:
+    if not _in_sector(ang, radar_boresight, radar.fov_halfwidth):
         return 0.0
     wf = radar.drifted()
     lam = C0 / wf.carrier

@@ -70,15 +70,16 @@ class IFCube:
         return self.samples.shape[1]
 
 
-def can_beat_in_band(host: WaveformConfig, intf: WaveformConfig) -> bool:
-    """Conservative reachability test for the in-band beat condition."""
+def can_beat_in_band(host: WaveformConfig, intf):
+    """Conservative reachability test for the in-band beat condition; `intf`'s
+    slope, chirp_duration and carrier may be arrays (one test per element)."""
     a_m = host.slope - intf.slope
-    lo = min(-intf.slope * host.chirp_duration, intf.slope * intf.chirp_duration) \
-        + min(0.0, a_m * host.chirp_duration)
-    hi = max(-intf.slope * host.chirp_duration, intf.slope * intf.chirp_duration) \
-        + max(0.0, a_m * host.chirp_duration)
+    lo = np.minimum(-intf.slope * host.chirp_duration, intf.slope * intf.chirp_duration) \
+        + np.minimum(0.0, a_m * host.chirp_duration)
+    hi = np.maximum(-intf.slope * host.chirp_duration, intf.slope * intf.chirp_duration) \
+        + np.maximum(0.0, a_m * host.chirp_duration)
     d = host.carrier - intf.carrier
-    return (d + lo <= host.adc_rate) and (d + hi >= 0.0)
+    return (d + lo <= host.adc_rate) & (d + hi >= 0.0)
 
 
 def chirp_times_in_window(wf: WaveformConfig, t0: float, t1: float,

@@ -107,7 +107,15 @@ def test_technique_flag_wins_over_nested_plan(tmp_path):
     ("host_type: LRR\ntarget_range: 450\n", "above the IF band"),
     ("window: kaiser\n", "unknown window: kaiser"),
     ("host_type: USRR\n", "USRR cannot be a host radar"),
-], ids=["target_beyond_if_band", "unknown_window", "interferer_only_host"])
+    ("topology: ring\n", "'ring' is not a valid Topology"),
+    ("host_type: XYZ\n", "'XYZ' is not a valid RadarType"),
+    ("plan: {technique: foo}\n", "'foo' is not a valid Technique"),
+    ("n_dwells: -1\n", "n_dwells must be >= 0"),
+    ("workers: 0\n", "workers must be >= 1"),
+    ("cfar_guard: -3\n", "cfar_guard must be >= 0"),
+], ids=["target_beyond_if_band", "unknown_window", "interferer_only_host",
+        "unknown_topology", "unknown_host_type", "unknown_technique",
+        "negative_n_dwells", "zero_workers", "negative_cfar_guard"])
 def test_bad_config_fails_before_any_scene(tmp_path, capsys, monkeypatch, text, why):
     def no_scene(*args, **kwargs):
         raise AssertionError("a scene was built")

@@ -1,6 +1,7 @@
 """Fresnel reflection, blockage geometry, path construction and link budget."""
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,10 +10,17 @@ from hypothesis import strategies as st
 from scipy.constants import c as C0
 
 from mirs.errors import ConfigurationError
-from mirs.propagation import (CONCRETE_INDEX, MaterialModel, PathKind,
-                              VehicleRects, echo_power, fresnel_reflection,
-                              one_way_gain, paths, sector_gain)
-from mirs.scenario import Topology, generate_highway, install_host_radar
+from mirs.harness import RADAR_ROW, build_emitters
+from mirs.mitigation import cross_pol_factor
+from mirs.propagation import (CONCRETE_INDEX, PATH_DTYPE, PATH_KINDS,
+                              MaterialModel, PathKind, echo_power,
+                              fresnel_reflection, one_way_gain, paths,
+                              segments_blocked, vehicle_rects)
+from mirs.scenario import (Polarization, ReferenceTarget, RoadGeometry,
+                           Scenario, Topology, Vehicle, generate_highway,
+                           install_host_radar, install_radars)
+from mirs.synthesis import (can_beat_in_band, chirp_times_in_window,
+                            host_chirp_times)
 from mirs.waveform import RadarType
 
 
@@ -76,6 +84,20 @@ class Rect:
         return (self.length / 2.0, self.width / 2.0)
 
 
+# a rectangle far from every test segment, to stand in as owner and host
+FAR = Rect(99, 1e4, 1e4, 2.0, 5.0)
+
+
+def blocked(rects, p, q, owner=None, host=None):
+    """segments_blocked for one segment; owner and host default to the last
+    rectangle."""
+    last = len(rects) - 1
+    return bool(segments_blocked(
+        np.array([p], dtype=float), np.array([q], dtype=float),
+        np.array([last if owner is None else owner]),
+        last if host is None else host, vehicle_rects(rects))[0])
+
+
 def sampled_blocked(p, q, rect, n=1000, margin=0.0):
     # brute-force oracle: sample interior points of the open segment against
     # the rectangle grown by `margin` on every side
@@ -91,14 +113,14 @@ def sampled_blocked(p, q, rect, n=1000, margin=0.0):
 def test_segment_blocked_matches_sampling_oracle():
     rng = np.random.default_rng(42)
     rect = Rect(1, 0.0, 0.0, 2.0, 5.0)
-    cache = VehicleRects([rect])
+    rects = [rect, FAR]
     agree = 0
     for _ in range(400):
         p = tuple(rng.uniform(-8, 8, 2))
         q = tuple(rng.uniform(-8, 8, 2))
         if p == q:
             continue
-        got = cache.blocked(p, q)
+        got = blocked(rects, p, q)
         want = sampled_blocked(p, q, rect, n=4000)
         # dense sampling can miss razor-thin clips; tolerate only that side
         if got != want:
@@ -109,13 +131,18 @@ def test_segment_blocked_matches_sampling_oracle():
 
 
 def test_segment_blocked_basic_cases():
-    cache = VehicleRects([Rect(1, 0.0, 0.0, 2.0, 5.0)])
-    assert cache.blocked((-10, 0), (10, 0))
-    assert not cache.blocked((-10, 5), (10, 5))
-    assert not cache.blocked((-10, 0), (10, 0), exclude_ids=(1,))
+    rects = [Rect(1, 0.0, 0.0, 2.0, 5.0), FAR]
+    assert blocked(rects, (-10, 0), (10, 0))
+    assert not blocked(rects, (-10, 5), (10, 5))
+    # the segment's own vehicle and the host never block it
+    assert not blocked(rects, (-10, 0), (10, 0), owner=0)
+    assert not blocked(rects, (-10, 0), (10, 0), host=0)
     # endpoint touching the boundary does not count
-    assert not cache.blocked((2.5, 0), (10, 0))
-    assert not VehicleRects([]).blocked((0, 0), (1, 1))
+    assert not blocked(rects, (2.5, 0), (10, 0))
+    # no segments: nothing to test
+    none = np.empty((0, 2))
+    assert segments_blocked(none, none, np.empty(0, dtype=int), 0,
+                            vehicle_rects(rects)).shape == (0,)
 
 
 coord = st.floats(-25.0, 25.0, allow_nan=False)
@@ -123,22 +150,31 @@ coord = st.floats(-25.0, 25.0, allow_nan=False)
 
 @settings(max_examples=150, deadline=None)
 @given(centers=st.lists(st.tuples(coord, coord), min_size=1, max_size=6),
-       p=st.tuples(coord, coord), q=st.tuples(coord, coord),
-       excluded=st.sets(st.integers(0, 5), max_size=3))
-def test_vehicle_rects_matches_sampling_oracle_property(centers, p, q,
-                                                        excluded):
+       segments=st.lists(st.tuples(st.tuples(coord, coord),
+                                   st.tuples(coord, coord),
+                                   st.integers(0, 5)),
+                         min_size=1, max_size=4),
+       host=st.integers(0, 5))
+def test_vehicle_rects_matches_sampling_oracle_property(centers, segments,
+                                                        host):
     rects = [Rect(i, x, y, 2.0, 5.0) for i, (x, y) in enumerate(centers)]
-    got = VehicleRects(rects).blocked(p, q, tuple(excluded))
-    live = [r for r in rects if r.id not in excluded]
+    host %= len(rects)
+    p = np.array([s[0] for s in segments], dtype=float)
+    q = np.array([s[1] for s in segments], dtype=float)
+    owner = np.array([s[2] % len(rects) for s in segments])
+    got = segments_blocked(p, q, owner, host, vehicle_rects(rects))
+    for k, (a, b, _) in enumerate(segments):
+        live = [r for i, r in enumerate(rects) if i not in (owner[k], host)]
 
-    def oracle(margin):
-        return any(sampled_blocked(p, q, r, n=4000, margin=margin)
-                   for r in live)
+        def oracle(margin):
+            return any(sampled_blocked(a, b, r, n=4000, margin=margin)
+                       for r in live)
 
-    # dense sampling can miss razor-thin clips; tolerate only that side, and
-    # only where a sample falls within one sample spacing of a rectangle
-    spacing = math.hypot(q[0] - p[0], q[1] - p[1]) / 4000
-    assert got == oracle(0.0) or (got and oracle(spacing))
+        # dense sampling can miss razor-thin clips; tolerate only that side,
+        # and only where a sample falls within one sample spacing of a
+        # rectangle
+        spacing = math.hypot(b[0] - a[0], b[1] - a[1]) / 4000
+        assert got[k] == oracle(0.0) or (got[k] and oracle(spacing))
 
 
 # ---------------------------------------------------------------------------
@@ -150,58 +186,107 @@ def clean_scene(seed=0):
     return s.with_vehicles([v for v in s.vehicles if v.id == s.host_vehicle_id])
 
 
+def radar_rows(*rows, gain=1.0, carrier=77e9):
+    """A paths() transmitter table from (x, y, bore, fov, vehicle) rows."""
+    return np.rec.fromrecords(
+        [(v, 0, x, y, b, f, gain, carrier, 1.0, 1.0) for x, y, b, f, v in rows],
+        dtype=RADAR_ROW)
+
+
+def scene_paths(s, tx, rx, rx_bore=0.0, rx_fov=math.pi, host=0):
+    return paths(tx, rx, rx_bore, rx_fov, host, vehicle_rects(s.vehicles),
+                 s.geometry)
+
+
+def kinds(got):
+    return [PATH_KINDS[k] for k in got.kind]
+
+
+# sectors this narrow keep a path only where both antennas point along it
+NARROW = 1e-6
+
+
 def test_direct_path_length_and_angles():
     s = clean_scene()
-    got = paths((100.0, -5.0), (160.0, -5.0), s, exclude_ids=(0,))
-    direct = [p for p in got if p.kind is PathKind.DIRECT][0]
-    assert direct.length == pytest.approx(60.0)
-    assert direct.departure_angle == pytest.approx(0.0)
-    assert abs(direct.arrival_angle) == pytest.approx(math.pi)
-    assert direct.reflection_coeff == 1 + 0j
+
+    def got(tx_bore, rx_bore):
+        return scene_paths(s, radar_rows((100.0, -5.0, tx_bore, NARROW, 0)),
+                           (160.0, -5.0), rx_bore, NARROW)
+
+    direct = got(0.0, math.pi)
+    assert kinds(direct) == [PathKind.DIRECT]
+    assert direct.length[0] == pytest.approx(60.0)
+    assert direct.row[0] == 0 and direct.theta[0] == 0.0
+    assert not direct.blocked[0]
+    # departure angle 0, arrival angle pi (the same direction as -pi)
+    assert len(got(0.5 * NARROW, -math.pi + 0.5 * NARROW)) == 1
+    assert len(got(3 * NARROW, math.pi)) == 0
+    assert len(got(0.0, math.pi - 3 * NARROW)) == 0
 
 
 def test_wall_bounce_image_length_and_angle():
     s = clean_scene()
     half = s.geometry.half_width  # 11.5 m
-    tx = (100.0, 0.0)
-    rx = (160.0, 0.0)
-    got = paths(tx, rx, s, exclude_ids=(0,))
-    bounces = [p for p in got if p.kind is not PathKind.DIRECT]
-    assert len(bounces) == 2
-    for p in bounces:
+    tx, rx = (100.0, -5.0), (160.0, 3.0)
+    got = scene_paths(s, radar_rows((*tx, 0.0, math.pi, 0)), rx)
+    assert kinds(got) == list(PATH_KINDS)
+    for kind, wall_y in ((PathKind.WALL_LOWER, -half),
+                         (PathKind.WALL_UPPER, half)):
+        p = got[kinds(got).index(kind)]
         # image method: length = sqrt(dx^2 + (|y_w - y_t| + |y_w - y_r|)^2)
-        want = math.hypot(60.0, 2 * half)
-        assert p.length == pytest.approx(want)
-        # angle in equals angle out: arrival_angle points back toward the
-        # bounce, so reversing it recovers the departure elevation
-        rev = (p.arrival_angle + math.pi + math.pi) % (2 * math.pi) - math.pi
-        assert abs(abs(p.departure_angle) - abs(rev)) < 1e-12
-        # Fresnel coefficient evaluated at the incidence angle from the normal
-        theta = math.atan2(60.0, 2 * half)
-        assert p.reflection_coeff == fresnel_reflection(theta)
+        d1, d2 = abs(wall_y - tx[1]), abs(wall_y - rx[1])
+        assert p.length == pytest.approx(math.hypot(60.0, d1 + d2))
+        # incidence angle from the wall normal
+        assert p.theta == pytest.approx(math.atan2(60.0, d1 + d2), abs=1e-12)
+        # angle in equals angle out: the bounce point splits dx as d1 : d2,
+        # and the path leaves tx toward it and reaches rx from it
+        bx = tx[0] + 60.0 * d1 / (d1 + d2)
+        dep = math.atan2(wall_y - tx[1], bx - tx[0])
+        arr = math.atan2(wall_y - rx[1], bx - rx[0])
+        assert abs(dep) == pytest.approx(abs(math.pi - abs(arr)), abs=1e-12)
+
+        def narrow(tx_bore, rx_bore):
+            return kinds(scene_paths(
+                s, radar_rows((*tx, tx_bore, NARROW, 0)), rx, rx_bore, NARROW))
+
+        assert narrow(dep, arr) == [kind]
+        assert narrow(dep + 3 * NARROW, arr) == []
+        assert narrow(dep, arr - 3 * NARROW) == []
 
 
 def test_bounce_outside_road_span_is_dropped():
     s = clean_scene()
-    # tx close to x=0 and rx behind it forces the upper bounce point off-road
-    got = paths((1.0, 5.0), (2.0, 5.0), s, exclude_ids=(0,))
-    assert all(0.0 <= p.length for p in got)
-    assert any(p.kind is PathKind.DIRECT for p in got)
+    end = s.geometry.road_length
+    # both points past the road's end put both bounce points off the road
+    got = scene_paths(s, radar_rows((end + 10.0, 5.0, math.pi, math.pi, 0)),
+                      (end + 4.0, -5.0))
+    assert kinds(got) == [PathKind.DIRECT]
+    # the same pair moved onto the road has both bounces
+    got = scene_paths(s, radar_rows((end - 10.0, 5.0, math.pi, math.pi, 0)),
+                      (end - 16.0, -5.0))
+    assert kinds(got) == list(PATH_KINDS)
 
 
 def test_paths_blockage_flag():
     s = generate_highway("low", rng=np.random.default_rng(0))
-    host = s.host
-    blocker = next(v for v in s.vehicles
-                   if v.id != host.id and v.lane == host.lane)
-    # a segment straight through the blocker center is marked blocked
-    p = (blocker.center[0] - 20.0, blocker.center[1])
-    q = (blocker.center[0] + 20.0, blocker.center[1])
-    got = paths(p, q, s, exclude_ids=(host.id,))
-    direct = [x for x in got if x.kind is PathKind.DIRECT][0]
-    assert direct.blocked
+    host = 0
+    assert s.vehicles[host].id == s.host_vehicle_id
+    i, blocker = next((i, v) for i, v in enumerate(s.vehicles)
+                      if i != host and v.lane == s.host.lane)
+    # a segment straight through the blocker center is marked blocked;
+    # MIN_GAP keeps every other vehicle off it
+    reach = blocker.length / 2.0 + 1.0
+    p = (blocker.center[0] - reach, blocker.center[1])
+    q = (blocker.center[0] + reach, blocker.center[1])
+    got = scene_paths(s, radar_rows((*p, 0.0, NARROW, host)), q,
+                      rx_bore=math.pi, rx_fov=NARROW)
+    assert kinds(got) == [PathKind.DIRECT] and got.blocked[0]
+    # ... unless the blocker carries the transmitting radar
+    got = scene_paths(s, radar_rows((*p, 0.0, NARROW, i)), q,
+                      rx_bore=math.pi, rx_fov=NARROW)
+    assert not got.blocked[0]
     with pytest.raises(ConfigurationError):
-        paths(p, p, s)
+        scene_paths(s, radar_rows((*p, 0.0, NARROW, host)), p)
 
 
 # ---------------------------------------------------------------------------
@@ -214,51 +299,82 @@ def host_radar_instance(radar_type=RadarType.LRR, seed=0):
     return host.radars[0]
 
 
+def link(r, tx_bore, rx_bore, tx=(100.0, -5.0), rx=(200.0, -5.0)):
+    """(in-sector paths, their gains) from a radar like `r` at tx, aimed at
+    tx_bore, to `r` itself at rx aimed at rx_bore."""
+    table = radar_rows((*tx, tx_bore, r.fov_halfwidth, 0),
+                       gain=r.waveform.rx_gain, carrier=r.drifted().carrier)
+    got = scene_paths(clean_scene(), table, rx, rx_bore, r.fov_halfwidth)
+    return got, one_way_gain(got, table, r.waveform.rx_gain)
+
+
 def test_sector_gain_flat_inside_fov():
     r = host_radar_instance()
-    g = r.waveform.rx_gain
-    assert sector_gain(r, 0.0, 0.0) == g
-    assert sector_gain(r, 0.0, r.fov_halfwidth * 0.99) == g
-    assert sector_gain(r, 0.0, r.fov_halfwidth * 1.01) == 0.0
-    # wrap-around at +/- pi
-    assert sector_gain(r, math.pi, -math.pi + 0.01) == g
+    fov = r.fov_halfwidth
+    lam = C0 / r.drifted().carrier
+    want = r.waveform.rx_gain ** 2 * (lam / (4 * math.pi * 100.0)) ** 2
+
+    def direct_gain(tx_bore, rx_bore=math.pi, **where):
+        got, g = link(r, tx_bore, rx_bore, **where)
+        direct = [k is PathKind.DIRECT for k in kinds(got)]
+        return g[direct].tolist()
+
+    # the same flat gain anywhere inside either sector, none outside
+    assert direct_gain(0.0) == pytest.approx([want], rel=1e-12)
+    assert direct_gain(0.99 * fov) == direct_gain(0.0)
+    assert direct_gain(-0.99 * fov) == direct_gain(0.0)
+    assert direct_gain(0.0, math.pi - 0.99 * fov) == direct_gain(0.0)
+    assert direct_gain(1.01 * fov) == []
+    assert direct_gain(0.0, math.pi + 1.01 * fov) == []
+    # wrap-around at +/- pi: a path leaving at -pi + 0.01 is inside a
+    # sector aimed at +pi
+    a = -math.pi + 0.01
+    rx = (100.0 + 100.0 * math.cos(a), -5.0 + 100.0 * math.sin(a))
+    assert direct_gain(math.pi, 0.01, rx=rx) == pytest.approx([want], rel=1e-9)
 
 
 def test_one_way_gain_friis_hand_calc():
     r = host_radar_instance()
-    s = clean_scene()
-    got = paths((100.0, -5.0), (200.0, -5.0), s, exclude_ids=(0,))
-    direct = [p for p in got if p.kind is PathKind.DIRECT][0]
-    g = one_way_gain(direct, r, 0.0, r, math.pi)
+    got, g = link(r, 0.0, math.pi)
+    assert not got.blocked.any() and len(g) == len(got)
     lam = C0 / r.drifted().carrier
     want = r.waveform.rx_gain ** 2 * (lam / (4 * math.pi * 100.0)) ** 2
-    assert g == pytest.approx(want, rel=1e-12)
-    # out of FOV on one side -> zero
-    assert one_way_gain(direct, r, math.pi / 2, r, math.pi) == 0.0
+    assert g[kinds(got).index(PathKind.DIRECT)] == pytest.approx(want, rel=1e-12)
+    # out of FOV on one side -> no path, so no gain
+    got, g = link(r, math.pi / 2, math.pi)
+    assert len(got) == 0 and len(g) == 0
+
+
+def rows(*recs):
+    return np.rec.fromrecords(list(recs), dtype=PATH_DTYPE)
 
 
 def test_one_way_gain_reflection_loss_at_normal_incidence():
-    # -6.02 dB power loss from half-amplitude reflection: build a synthetic
-    # path with |R| = 0.5 and compare against the unit-coefficient path
-    from dataclasses import replace
+    # a wall path at normal incidence against a direct path of the same
+    # length: the power ratio is |(n - 1) / (n + 1)|^2, about -7.28 dB
     r = host_radar_instance()
-    s = clean_scene()
-    direct = [p for p in paths((100.0, -5.0), (200.0, -5.0), s, exclude_ids=(0,))
-              if p.kind is PathKind.DIRECT][0]
-    halved = replace(direct, reflection_coeff=0.5 + 0j)
-    g0 = one_way_gain(direct, r, 0.0, r, math.pi)
-    g1 = one_way_gain(halved, r, 0.0, r, math.pi)
-    assert 10 * math.log10(g0 / g1) == pytest.approx(6.02, abs=0.01)
+    table = radar_rows((0.0, 0.0, 0.0, 1.0, 0), gain=r.waveform.rx_gain,
+                       carrier=r.drifted().carrier)
+    g0, g1 = one_way_gain(rows((0, 0, 100.0, 0.0, False),
+                               (0, 1, 100.0, 0.0, False)),
+                          table, r.waveform.rx_gain)
+    n = CONCRETE_INDEX
+    want = -20 * math.log10(abs((n - 1) / (n + 1)))
+    assert 10 * math.log10(g0 / g1) == pytest.approx(want, rel=1e-9)
+    assert 10 * math.log10(g0 / g1) == pytest.approx(7.28, abs=0.01)
 
 
 def test_one_way_gain_rejects_blocked_path():
-    from dataclasses import replace
+    # blocked rows get no gain; the others keep theirs, in order
     r = host_radar_instance()
-    s = clean_scene()
-    direct = [p for p in paths((100.0, -5.0), (200.0, -5.0), s, exclude_ids=(0,))
-              if p.kind is PathKind.DIRECT][0]
-    with pytest.raises(ConfigurationError):
-        one_way_gain(replace(direct, blocked=True), r, 0.0, r, math.pi)
+    table = radar_rows((0.0, 0.0, 0.0, 1.0, 0), (5.0, 0.0, 0.0, 1.0, 0),
+                       gain=r.waveform.rx_gain, carrier=r.drifted().carrier)
+    a = (0, 0, 100.0, 0.0, False)
+    b = (1, 2, 150.0, 0.3, False)
+    g = one_way_gain(rows(a, (0, 1, 120.0, 0.2, True), b), table, 1.0)
+    assert g.tolist() == one_way_gain(rows(a, b), table, 1.0).tolist()
+    assert len(g) == 2
+    assert one_way_gain(rows((0, 0, 100.0, 0.0, True)), table, 1.0).size == 0
 
 
 def test_echo_power_fourth_power_law():
@@ -278,3 +394,156 @@ def test_echo_power_fov_and_blockage():
     assert echo_power(r, (0.0, 0.0), 0.0, (-100.0, 0.0), 10.0) == 0.0
     with pytest.raises(ConfigurationError):
         echo_power(r, (0.0, 0.0), 0.0, (0.0, 0.0), 10.0)
+
+
+# ---------------------------------------------------------------------------
+# batched build_emitters against a scalar reference
+
+def ref_segment_blocked(p, q, rect):
+    """Scalar slab test of one segment against one rectangle (xmin, xmax,
+    ymin, ymax); touching at an endpoint does not count."""
+    t0, t1 = 0.0, 1.0
+    for o, d, lo, hi in ((p[0], q[0] - p[0], rect[0], rect[1]),
+                         (p[1], q[1] - p[1], rect[2], rect[3])):
+        if abs(d) < 1e-12:
+            if not lo < o < hi:
+                return False
+        else:
+            ta, tb = (lo - o) / d, (hi - o) / d
+            t0, t1 = max(t0, min(ta, tb)), min(t1, max(ta, tb))
+    return t0 < t1 - 1e-12 and t1 > 1e-9 and t0 < 1 - 1e-9
+
+
+def ref_paths(tx, rx, geometry):
+    """Every direct and wall-image path, in emission order, as (kind, length,
+    departure angle, arrival angle, reflection coefficient, legs)."""
+    out = [(PathKind.DIRECT, math.hypot(rx[0] - tx[0], rx[1] - tx[1]),
+            math.atan2(rx[1] - tx[1], rx[0] - tx[0]),
+            math.atan2(tx[1] - rx[1], tx[0] - rx[0]), 1 + 0j, [(tx, rx)])]
+    for kind, wall_y in zip(PATH_KINDS[1:], geometry.wall_ys):
+        img_y = 2 * wall_y - tx[1]
+        if abs(img_y - rx[1]) < 1e-12:
+            continue
+        bx = tx[0] + (wall_y - img_y) / (rx[1] - img_y) * (rx[0] - tx[0])
+        if not 0.0 <= bx <= geometry.road_length:
+            continue
+        dx = abs(rx[0] - tx[0])
+        dy = abs(wall_y - tx[1]) + abs(wall_y - rx[1])
+        b = (bx, wall_y)
+        out.append((kind, math.hypot(dx, dy),
+                    math.atan2(wall_y - tx[1], bx - tx[0]),
+                    math.atan2(wall_y - rx[1], bx - rx[0]),
+                    fresnel_reflection(math.atan2(dx, dy)), [(tx, b), (b, rx)]))
+    return out
+
+
+def ref_emitters(snap, host_pos, host_bore, hr, host_wf, t0, t1, seed_key):
+    """build_emitters one radar and one path at a time: every path's
+    reflection and blockage first, the sector gates last."""
+    def in_sector(angle, bore, fov):
+        return abs((angle - bore + math.pi) % (2 * math.pi) - math.pi) <= fov
+
+    rects = vehicle_rects(snap.vehicles)
+    host = next(i for i, v in enumerate(snap.vehicles)
+                if v.id == snap.host_vehicle_id)
+    out = []
+    for i, v in enumerate(snap.vehicles):
+        if i == host:
+            continue
+        for ri, r in enumerate(v.radars):
+            wf = r.drifted()
+            if not can_beat_in_band(host_wf, wf):
+                continue
+            pos, bore = v.radar_world_position(r), v.radar_world_boresight(r)
+            times = None
+            for kind, length, dep, arr, coeff, legs in ref_paths(
+                    pos, host_pos, snap.geometry):
+                if any(ref_segment_blocked(a, b, rects[j])
+                       for a, b in legs for j in range(len(rects))
+                       if j not in (i, host)):
+                    continue
+                if not (in_sector(dep, bore, r.fov_halfwidth)
+                        and in_sector(arr, host_bore, hr.fov_halfwidth)):
+                    continue
+                lam = C0 / wf.carrier
+                g = (r.waveform.rx_gain * hr.waveform.rx_gain * abs(coeff) ** 2
+                     * (lam / (4 * math.pi * length)) ** 2)
+                g *= cross_pol_factor(r.polarization, hr.polarization,
+                                      reflected=kind is not PathKind.DIRECT)
+                delay = length / C0
+                if times is None:
+                    times = chirp_times_in_window(
+                        wf, t0 - delay, t1 - delay, tf_slot=r.tf_slot,
+                        dither_bound=r.dither_bound,
+                        dither_seed=tuple(seed_key) + (v.id, ri))
+                if times.size:
+                    out.append((v.id, ri, kind.value, wf,
+                                math.sqrt(wf.tx_power * g), times + delay))
+    return out
+
+
+@st.composite
+def small_scenes(draw):
+    """A host and a few cars and trucks with full radar sets; some radars
+    are turned, re-polarized, moved near the host's carrier, put on a TF
+    slot or dithered."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    g = RoadGeometry()
+    host = Vehicle(id=0, kind="car", center=(500.0, g.lane_center(1)),
+                   heading=0.0, speed=30.0, width=2.0, length=5.0, lane=1)
+    host = install_host_radar(host, draw(st.sampled_from(
+        [RadarType.LRR, RadarType.SRR, RadarType.SBZA])), rng)
+    vehicles = [host]
+    for vid in range(1, draw(st.integers(1, 6)) + 1):
+        kind = draw(st.sampled_from(["car", "truck"]))
+        lane = draw(st.integers(0, g.n_lanes - 1))
+        x = draw(st.floats(420.0, 580.0))
+        if lane == host.lane and abs(x - 500.0) < 12.0:
+            x += 24.0          # keep clear of the host's footprint
+        w, l = (2.6, 13.0) if kind == "truck" else (2.0, 5.0)
+        v = Vehicle(id=vid, kind=kind, center=(x, g.lane_center(lane)),
+                    heading=g.lane_heading(lane), speed=30.0, width=w,
+                    length=l, lane=lane)
+        vehicles.append(install_radars(v, Topology.FULL, rng))
+    host_wf = host.radars[0].waveform
+    out = []
+    for v in vehicles:
+        radars = []
+        for r in v.radars:
+            wf = r.waveform
+            if rng.random() < 0.7 and v is not host:
+                wf = replace(wf, carrier=host_wf.carrier
+                             + rng.uniform(-3e8, 3e8))
+            r = replace(r, waveform=wf, polarization=rng.choice(
+                [Polarization.V, Polarization.H]))
+            if rng.random() < 0.3:
+                r = replace(r, boresight=rng.uniform(-math.pi, math.pi))
+            if rng.random() < 0.3:
+                r = replace(r, tf_slot=(0, int(rng.integers(6)), 6,
+                                        1.0 / wf.fps, rng.uniform(0, 1e-3)))
+            if rng.random() < 0.3:
+                r = replace(r, dither_bound=rng.uniform(0.0, 2e-6))
+            radars.append(r)
+        out.append(replace(v, radars=tuple(radars)))
+    return Scenario(geometry=g, vehicles=tuple(out), host_vehicle_id=0,
+                    host_radar_index=0,
+                    reference_target=ReferenceTarget((100.0, 0.0), 10.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(snap=small_scenes(), dwell=st.integers(0, 3))
+def test_build_emitters_matches_scalar_reference(snap, dwell):
+    host_v, hr = snap.host, snap.host_radar
+    host_pos = host_v.radar_world_position(hr)
+    host_bore = host_v.radar_world_boresight(hr)
+    host_wf = hr.drifted()
+    times = host_chirp_times(host_wf, dwell, tf_slot=hr.tf_slot)
+    t0, t1 = times[0], times[-1] + host_wf.chirp_duration
+    args = (snap, host_pos, host_bore, hr, host_wf, t0, t1, (7, dwell))
+    got = build_emitters(*args)
+    want = ref_emitters(*args)
+    assert [e.key for e in got] == [w[:3] for w in want]
+    for e, (_, _, _, wf, amp, chirps) in zip(got, want):
+        assert e.waveform == wf
+        assert e.amplitude == amp
+        assert np.array_equal(e.chirp_times, chirps)

@@ -72,19 +72,18 @@ def test_lane_speed_shared_and_in_range():
 
 def test_los_fraction_decreases_with_density():
     # fraction of vehicles with an unblocked straight line to the host
-    from mirs.propagation import VehicleRects
+    from mirs.propagation import segments_blocked, vehicle_rects
 
     def los_fraction(label, seed):
         s = make_scene(label, seed=seed)
-        host = s.host
-        rects = VehicleRects(s.vehicles)
-        n_los = 0
-        others = [v for v in s.vehicles if v.id != host.id]
-        for v in others:
-            if not rects.blocked(host.center, v.center,
-                                 exclude_ids=(host.id, v.id)):
-                n_los += 1
-        return n_los / len(others)
+        host = next(i for i, v in enumerate(s.vehicles)
+                    if v.id == s.host_vehicle_id)
+        others = [i for i in range(len(s.vehicles)) if i != host]
+        p = np.array([s.vehicles[host].center] * len(others))
+        q = np.array([s.vehicles[i].center for i in others])
+        blocked = segments_blocked(p, q, np.array(others), host,
+                                   vehicle_rects(s.vehicles))
+        return 1.0 - blocked.mean()
 
     seeds = range(30)
     low = np.mean([los_fraction("low", s) for s in seeds])

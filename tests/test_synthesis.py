@@ -74,6 +74,11 @@ def test_can_beat_in_band():
                          carrier=79.5e9, n_chirps=64, fps=15.0, n_elements=8,
                          tx_power=0.01, element_gain=10.0, adc_rate=25e6)
     assert not can_beat_in_band(HOST, far)
+    # one test per element of array-valued fields
+    table = np.rec.fromrecords(
+        [(w.slope, w.chirp_duration, w.carrier) for w in (intf_near, far)],
+        names=("slope", "chirp_duration", "carrier"))
+    assert can_beat_in_band(HOST, table).tolist() == [True, False]
 
 
 def test_synthesized_beat_peak_matches_prediction():
