@@ -108,9 +108,11 @@ class RunConfig:
         if list(rates) != sorted(rates) or any(not 0 <= r <= 1 for r in rates):
             raise ConfigurationError("penetration rates must be sorted within [0, 1]")
         for name, least in (("n_seeds", 1), ("n_dwells", 0), ("workers", 1),
-                            ("cfar_guard", 0)):
+                            ("cfar_guard", 0), ("cfar_train", 4)):
             if getattr(self, name) < least:
                 raise ConfigurationError(f"{name} must be >= {least}")
+        if not 0.0 < self.cfar_pfa < 1.0:
+            raise ConfigurationError("cfar_pfa must be in (0, 1)")
         if self.window not in WINDOWS:
             raise ConfigurationError(f"unknown window: {self.window}")
         if not self.scenario_file:

@@ -48,18 +48,25 @@ class Detection:
 WINDOWS = {"rect": np.ones, "hann": np.hanning}
 
 
+def _range_fft(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Windowed FFT over fast time, normalized so E|X|^2 of white noise equals
+    the per-sample noise power."""
+    y = np.fft.fft(x * w[:, None], axis=0)
+    y /= math.sqrt(np.sum(w ** 2))
+    return y
+
+
 def range_doppler(cube: IFCube, window: str = "hann") -> RangeDopplerMap:
     """Windowed 2-D FFT (fast-time then chirps), magnitude squared."""
     if window not in WINDOWS:
         raise ConfigurationError(f"unknown window: {window}")
     x = cube.samples
-    w_fast = WINDOWS[window](x.shape[0])
     w_slow = WINDOWS[window](x.shape[1])
-    # normalize so E|X|^2 of white noise equals the per-sample noise power
-    y = np.fft.fft(x * w_fast[:, None], axis=0) / math.sqrt(np.sum(w_fast ** 2))
-    y = np.fft.fft(y * w_slow[None, :], axis=1) / math.sqrt(np.sum(w_slow ** 2))
-    y = np.fft.fftshift(y, axes=1)
-    power = np.abs(y) ** 2
+    y = _range_fft(x, WINDOWS[window](x.shape[0]))
+    y *= w_slow
+    np.fft.fft(y, axis=1, out=y)
+    y /= math.sqrt(np.sum(w_slow ** 2))
+    power = np.fft.fftshift(np.abs(y) ** 2, axes=1)
 
     wf = cube.host
     freq_bin = wf.adc_rate / x.shape[0]
@@ -72,20 +79,20 @@ def range_doppler(cube: IFCube, window: str = "hann") -> RangeDopplerMap:
 
 def range_chirp(cube: IFCube) -> np.ndarray:
     """Power after the Hann-windowed range FFT only: [range bin, chirp]."""
-    w = np.hanning(cube.samples.shape[0])
-    y = np.fft.fft(cube.samples * w[:, None], axis=0) / math.sqrt(np.sum(w ** 2))
-    return np.abs(y) ** 2
+    return np.abs(_range_fft(cube.samples, np.hanning(cube.samples.shape[0]))) ** 2
 
 
-def noise_floor(rd: RangeDopplerMap, exclusion=()) -> float:
+def noise_floor(rd: RangeDopplerMap, exclusion=None) -> float:
     """Median map level in dB, robust to sparse target/interference peaks.
 
-    exclusion: iterable of (range_bin, doppler_bin) cells to leave out.
+    exclusion: a (rows, columns) index pair, as target_exclusion_cells
+    returns, of the cells to leave out.
     """
-    mask = np.ones(rd.power.shape, dtype=bool)
-    for rb, db in exclusion:
-        mask[rb, db] = False
-    vals = rd.power[mask]
+    vals = rd.power
+    if exclusion is not None:
+        mask = np.ones(rd.power.shape, dtype=bool)
+        mask[exclusion] = False
+        vals = rd.power[mask]
     if vals.size == 0:
         raise ConfigurationError("all cells excluded")
     return 10.0 * math.log10(np.median(vals))
@@ -93,78 +100,69 @@ def noise_floor(rd: RangeDopplerMap, exclusion=()) -> float:
 
 def target_exclusion_cells(rd: RangeDopplerMap, range_bin: int, doppler_bin: int,
                            halo: int = 4):
-    cells = []
-    for rb in range(max(0, range_bin - halo), min(rd.n_range_bins, range_bin + halo + 1)):
-        for db in range(doppler_bin - halo, doppler_bin + halo + 1):
-            cells.append((rb, db % rd.n_doppler_bins))
-    return cells
+    """The +/-halo block around a cell: a row slice (truncated at the range
+    edges) and a column index array (wrapped in Doppler)."""
+    rows = slice(max(0, range_bin - halo), min(rd.n_range_bins, range_bin + halo + 1))
+    cols = np.arange(doppler_bin - halo, doppler_bin + halo + 1) % rd.n_doppler_bins
+    return rows, cols
 
 
-def _cfar_noise_estimate(power: np.ndarray, guard: int, train: int):
-    """Cross-shaped training mean: wrapped on the Doppler axis, truncated on
-    the range axis.  Returns (mean estimate, training-cell count) per cell."""
-    n_r, n_d = power.shape
-    span = guard + train
+def _cfar_hits(power: np.ndarray, guard: int, train: int, pfa: float):
+    """Cross-shaped cell-averaging CFAR: (hit mask, training mean) per cell.
 
-    k = np.zeros(2 * span + 1)
-    k[:train] = 1.0
-    k[-train:] = 1.0
-
-    sum_d = ndimage.correlate1d(power, k, axis=1, mode="wrap")
-    cnt_d = np.full(power.shape, 2 * train, dtype=float)
-
-    sum_r = ndimage.correlate1d(power, k, axis=0, mode="constant", cval=0.0)
-    ones = np.ones((n_r, 1))
-    cnt_r = ndimage.correlate1d(ones, k, axis=0, mode="constant", cval=0.0)
-    cnt_r = np.broadcast_to(cnt_r, power.shape)
-
-    total = sum_d + sum_r
-    count = cnt_d + cnt_r
-    return total / count, count
-
-
-def ca_cfar(rd: RangeDopplerMap, guard: int = 2, train: int = 8,
-            pfa: float = 1e-4):
-    """2-D cross-shaped cell-averaging CFAR.
-
-    Threshold multiplier alpha = N (pfa^(-1/N) - 1) with N the training-cell
-    count (per cell, accounting for range-edge truncation).
+    The training cells lie guard+1 .. guard+train cells away on either side,
+    wrapped on the Doppler axis and truncated on the range axis, so their
+    count N, and the threshold multiplier alpha = N (pfa^(-1/N) - 1), depend
+    only on the range row.
     """
     if train < 4:
         raise ConfigurationError("train must be >= 4")
     if not 0.0 < pfa < 1.0:
         raise ConfigurationError("pfa must be in (0, 1)")
-    noise_est, count = _cfar_noise_estimate(rd.power, guard, train)
+    k = np.zeros(2 * (guard + train) + 1)
+    k[:train] = 1.0
+    k[-train:] = 1.0
+    noise = ndimage.correlate1d(power, k, axis=1, mode="wrap")
+    noise += ndimage.correlate1d(power, k, axis=0, mode="constant", cval=0.0)
+    count = 2 * train + ndimage.correlate1d(np.ones(power.shape[0]), k,
+                                            mode="constant", cval=0.0)
+    count = count[:, None]
+    noise /= count
     alpha = count * (pfa ** (-1.0 / count) - 1.0)
-    hits = rd.power > alpha * noise_est
-    return _detections_from_mask(rd, hits, noise_est)
+    return power > alpha * noise, noise
+
+
+def ca_cfar(rd: RangeDopplerMap, guard: int = 2, train: int = 8,
+            pfa: float = 1e-4):
+    """2-D cross-shaped CA-CFAR, with 8-connected hit cells clustered to
+    their peak.
+
+    A cluster's peak is its strongest cell; among equal powers, the first in
+    row-major order.
+    """
+    hits, noise = _cfar_hits(rd.power, guard, train, pfa)
+    labels, _ = ndimage.label(hits, structure=np.ones((3, 3), dtype=int))
+    idx = np.flatnonzero(labels)
+    lab = labels.ravel()[idx]
+    order = np.lexsort((idx, -rd.power.ravel()[idx], lab))
+    lab = lab[order]
+    peaks = idx[order[np.flatnonzero(np.diff(lab, prepend=0))]]
+    out = []
+    for rb, db in zip(*np.unravel_index(peaks, hits.shape)):
+        rb, db = int(rb), int(db)
+        snr = 10.0 * math.log10(rd.power[rb, db] / noise[rb, db])
+        out.append(Detection(
+            range_bin=rb, doppler_bin=db,
+            range=rb * rd.range_bin_m,
+            radial_speed=(db - rd.zero_doppler_bin) * rd.doppler_bin_mps,
+            snr_db=snr))
+    return out
 
 
 def detection_mask_ca_cfar(power: np.ndarray, guard: int = 2, train: int = 8,
                            pfa: float = 1e-4) -> np.ndarray:
     """Raw boolean CFAR hit mask (no clustering); used for Pfa calibration."""
-    noise_est, count = _cfar_noise_estimate(power, guard, train)
-    alpha = count * (pfa ** (-1.0 / count) - 1.0)
-    return power > alpha * noise_est
-
-
-def _detections_from_mask(rd: RangeDopplerMap, hits: np.ndarray,
-                          noise_est: np.ndarray):
-    """Cluster 8-connected hit cells to their local peak."""
-    if not np.any(hits):
-        return []
-    labels, n = ndimage.label(hits, structure=np.ones((3, 3), dtype=int))
-    out = []
-    peaks = ndimage.maximum_position(rd.power, labels, range(1, n + 1))
-    for rb, db in peaks:
-        p = rd.power[rb, db]
-        snr = 10.0 * math.log10(p / noise_est[rb, db])
-        out.append(Detection(
-            range_bin=int(rb), doppler_bin=int(db),
-            range=rb * rd.range_bin_m,
-            radial_speed=(db - rd.zero_doppler_bin) * rd.doppler_bin_mps,
-            snr_db=snr))
-    return out
+    return _cfar_hits(power, guard, train, pfa)[0]
 
 
 def target_detected(detections, range_bin: int, doppler_bin: int,

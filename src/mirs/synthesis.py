@@ -205,8 +205,10 @@ def synthesize_dwell(host_wf: WaveformConfig, host_times: np.ndarray,
     n_chirps = len(host_times)
     p_noise = noise.power(fs)
     scale = math.sqrt(p_noise / 2.0)
-    cube = scale * (noise_rng.standard_normal((n_fast, n_chirps))
-                    + 1j * noise_rng.standard_normal((n_fast, n_chirps)))
+    cube = np.empty((n_fast, n_chirps), dtype=complex)
+    cube.real = noise_rng.standard_normal((n_fast, n_chirps))
+    cube.imag = noise_rng.standard_normal((n_fast, n_chirps))
+    cube *= scale
 
     t_fast = np.arange(n_fast) / fs
     for tgt in targets:

@@ -113,9 +113,13 @@ def test_technique_flag_wins_over_nested_plan(tmp_path):
     ("n_dwells: -1\n", "n_dwells must be >= 0"),
     ("workers: 0\n", "workers must be >= 1"),
     ("cfar_guard: -3\n", "cfar_guard must be >= 0"),
+    ("cfar_train: 2\n", "cfar_train must be >= 4"),
+    ("cfar_pfa: 0.0\n", "cfar_pfa must be in (0, 1)"),
+    ("cfar_pfa: 1.0\n", "cfar_pfa must be in (0, 1)"),
 ], ids=["target_beyond_if_band", "unknown_window", "interferer_only_host",
         "unknown_topology", "unknown_host_type", "unknown_technique",
-        "negative_n_dwells", "zero_workers", "negative_cfar_guard"])
+        "negative_n_dwells", "zero_workers", "negative_cfar_guard",
+        "short_cfar_train", "zero_cfar_pfa", "unit_cfar_pfa"])
 def test_bad_config_fails_before_any_scene(tmp_path, capsys, monkeypatch, text, why):
     def no_scene(*args, **kwargs):
         raise AssertionError("a scene was built")

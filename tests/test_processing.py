@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 from scipy.constants import c as C0
 
 from mirs.errors import ConfigurationError
-from mirs.processing import (Detection, RangeDopplerMap, ca_cfar,
+from mirs.processing import (WINDOWS, Detection, RangeDopplerMap, ca_cfar,
                              detection_mask_ca_cfar, horizontal_bands,
                              noise_floor, range_chirp, range_doppler,
                              target_detected, target_exclusion_cells,
@@ -90,8 +93,27 @@ def test_floor_exclusion():
     clean = noise_floor(range_doppler(noise_cube(seed=0)))
     assert abs(with_excl - clean) < 0.2
     with pytest.raises(ConfigurationError):
-        noise_floor(rd, exclusion=[(r, d) for r in range(rd.n_range_bins)
-                                   for d in range(rd.n_doppler_bins)])
+        noise_floor(rd, exclusion=(slice(None), np.arange(rd.n_doppler_bins)))
+
+
+def cell_list_floor(rd, range_bin, doppler_bin, halo=4):
+    """Reference: the floor with the halo excluded cell by cell."""
+    mask = np.ones(rd.power.shape, dtype=bool)
+    for rb in range(max(0, range_bin - halo), min(rd.n_range_bins, range_bin + halo + 1)):
+        for db in range(doppler_bin - halo, doppler_bin + halo + 1):
+            mask[rb, db % rd.n_doppler_bins] = False
+    return 10.0 * math.log10(np.median(rd.power[mask]))
+
+
+@pytest.mark.parametrize("shape", [(472, 64), (37, 9), (11, 5)])
+def test_floor_exclusion_matches_cell_list_at_corners(shape):
+    rng = np.random.default_rng(4)
+    rd = RangeDopplerMap(rng.exponential(1.0, shape), 0.3, 0.1)
+    n_r, n_d = shape
+    for rb in (0, 1, n_r // 2, n_r - 1):
+        for db in (0, n_d // 2, n_d - 1):
+            excl = target_exclusion_cells(rd, rb, db, halo=4)
+            assert noise_floor(rd, exclusion=excl) == cell_list_floor(rd, rb, db)
 
 
 def test_cfar_detects_strong_tone():
@@ -131,10 +153,58 @@ def test_cfar_empirical_pfa():
 
 def test_cfar_validation():
     rd = range_doppler(noise_cube())
-    with pytest.raises(ConfigurationError):
-        ca_cfar(rd, train=2)
-    with pytest.raises(ConfigurationError):
-        ca_cfar(rd, pfa=0.0)
+    for kwargs in ({"train": 2}, {"pfa": 0.0}, {"pfa": 1.0}):
+        with pytest.raises(ConfigurationError):
+            ca_cfar(rd, **kwargs)
+        with pytest.raises(ConfigurationError):
+            detection_mask_ca_cfar(rd.power, **kwargs)
+
+
+def cfar_oracle(power, guard, train, pfa):
+    """Per-cell CA-CFAR: the training cells lie guard+1 .. guard+train cells
+    away on the cross, wrapped in Doppler and truncated in range."""
+    n_r, n_d = power.shape
+    offsets = range(guard + 1, guard + train + 1)
+    hits = np.zeros(power.shape, dtype=bool)
+    for r in range(n_r):
+        rows = [q for j in offsets for q in (r - j, r + j) if 0 <= q < n_r]
+        n = 2 * train + len(rows)
+        alpha = n * (pfa ** (-1.0 / n) - 1.0)
+        for d in range(n_d):
+            total = sum(power[r, (d + j) % n_d] + power[r, (d - j) % n_d]
+                        for j in offsets) + sum(power[q, d] for q in rows)
+            hits[r, d] = power[r, d] > alpha * (total / n)
+    return hits
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_cfar_matches_per_cell_oracle(data):
+    # maps down to one row: on a map shorter than the 2 (guard + train) + 1
+    # range cross, the training count of every row is truncated
+    shape = (data.draw(st.integers(1, 48), label="rows"),
+             data.draw(st.integers(1, 24), label="doppler bins"))
+    guard = data.draw(st.integers(0, 3), label="guard")
+    train = data.draw(st.integers(4, 10), label="train")
+    pfa = data.draw(st.sampled_from([1e-4, 1e-2, 0.2]), label="pfa")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32), label="seed"))
+    power = rng.exponential(1.0, shape)
+    power[rng.random(shape) < 0.02] *= 1e3
+    hits = detection_mask_ca_cfar(power, guard, train, pfa)
+    assert np.array_equal(hits, cfar_oracle(power, guard, train, pfa))
+    # exponential draws have no float ties, so each cluster's peak is unique
+    labels, n = ndimage.label(hits, structure=np.ones((3, 3), dtype=int))
+    want = ndimage.maximum_position(power, labels, range(1, n + 1)) if n else []
+    dets = ca_cfar(RangeDopplerMap(power, 0.3, 0.1), guard, train, pfa)
+    assert [(d.range_bin, d.doppler_bin) for d in dets] == [tuple(map(int, p)) for p in want]
+
+
+def test_cfar_cluster_peak_tie_goes_to_first_cell():
+    power = np.ones((40, 16))
+    power[20, 5:9] = 1e4          # one cluster, a four-cell plateau
+    power[30, 3] = power[31, 2] = 1e4
+    dets = ca_cfar(RangeDopplerMap(power, 0.3, 0.1))
+    assert [(d.range_bin, d.doppler_bin) for d in dets] == [(20, 5), (30, 3)]
 
 
 def test_fixed_vs_cfar_under_uniform_floor_rise():
@@ -190,6 +260,25 @@ def test_range_chirp_shape_and_stripes():
     hot2[33, :] *= 10 ** 3.0
     rows = horizontal_bands(hot2, thresh_db=6.0)
     assert 33 in rows and len(rows) == 1
+
+
+def two_pass_range_doppler(x, window):
+    """Reference: the out-of-place two-pass formula."""
+    w_fast = WINDOWS[window](x.shape[0])
+    w_slow = WINDOWS[window](x.shape[1])
+    y = np.fft.fft(x * w_fast[:, None], axis=0) / math.sqrt(np.sum(w_fast ** 2))
+    y = np.fft.fft(y * w_slow[None, :], axis=1) / math.sqrt(np.sum(w_slow ** 2))
+    return np.abs(np.fft.fftshift(y, axes=1)) ** 2
+
+
+@pytest.mark.parametrize("window", ["rect", "hann"])
+@pytest.mark.parametrize("shape", [(472, 64), (97, 31), (101, 13), (45, 7)])
+def test_range_doppler_bitwise_equals_two_pass(window, shape):
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    cube = IFCube(samples=x, fast_time_step=1.0 / HOST.adc_rate, host=HOST)
+    assert np.array_equal(range_doppler(cube, window).power,
+                          two_pass_range_doppler(x, window))
 
 
 def test_unknown_window_rejected():

@@ -131,6 +131,12 @@ def test_noise_power_level():
                             np.random.default_rng(2))
     measured = np.mean(np.abs(cube.samples) ** 2)
     assert measured == pytest.approx(want, rel=0.03)
+    # real parts are drawn first, then imaginary parts, from the same stream
+    rng = np.random.default_rng(2)
+    a = rng.standard_normal(cube.samples.shape)
+    b = rng.standard_normal(cube.samples.shape)
+    scale = math.sqrt(noise.power(25e6) / 2.0)
+    assert np.array_equal(cube.samples, scale * (a + 1j * b))
 
 
 def test_superposition_exact_under_shared_noise_seed():
