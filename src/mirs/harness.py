@@ -11,7 +11,10 @@ import concurrent.futures
 import csv
 import io
 import math
+import numbers
 import os
+import re
+import typing
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -160,15 +163,34 @@ def output_dir(default: str) -> str:
     return os.environ.get("MIRS_OUTPUT_DIR", default)
 
 
+def _check_number(name: str, value, kind: type):
+    """Reject a config value that is not a finite `kind` (int or float)."""
+    ok = (not isinstance(value, bool)
+          and isinstance(value, numbers.Integral if kind is int else numbers.Real)
+          and math.isfinite(value))
+    if not ok:
+        raise ConfigurationError(f"bad config value: {name}: "
+                                 f"{value!r} is not a valid {kind.__name__}")
+
+
+def _check_numbers(cls, d: dict):
+    """Check the values `d` gives `cls`'s int and float fields."""
+    for name, kind in typing.get_type_hints(cls).items():
+        if kind in (int, float) and name in d:
+            _check_number(name, d[name], kind)
+
+
 def config_from_dict(d: dict) -> RunConfig:
     """Build a RunConfig from plain config-file keys (flat key-value plus an
     optional nested `plan` section and a `preset` index)."""
-    d = dict(d)
-    preset = d.pop("preset", None)
-    plan_d = dict(d.pop("plan", {}) or {})
-    if "technique" in d:  # the flat key carries command-line overrides
-        plan_d["technique"] = d.pop("technique")
     try:
+        d = dict(d)
+        preset = d.pop("preset", None)
+        plan_d = dict(d.pop("plan", {}) or {})
+        _check_numbers(RunConfig, d)
+        _check_numbers(MitigationPlan, plan_d)
+        if "technique" in d:  # the flat key carries command-line overrides
+            plan_d["technique"] = d.pop("technique")
         if plan_d:
             if "technique" in plan_d:
                 plan_d["technique"] = Technique(plan_d["technique"])
@@ -179,6 +201,8 @@ def config_from_dict(d: dict) -> RunConfig:
             d["host_type"] = RadarType(d["host_type"])
         if "penetration_rates" in d:
             d["penetration_rates"] = tuple(d["penetration_rates"])
+            for r in d["penetration_rates"]:
+                _check_number("penetration_rates", r, float)
         if preset is not None:
             return preset_config(int(preset), **d)
         return RunConfig(**d)
@@ -196,8 +220,17 @@ def load_config(path=None, **overrides) -> RunConfig:
     doc = {}
     if path:
         import yaml
+
+        class Loader(yaml.SafeLoader):
+            """YAML 1.1 reads an exponent without a dot or a sign (1e-4,
+            1.5e3) as a string; read it as a float, as YAML 1.2 does."""
+        Loader.add_implicit_resolver(
+            "tag:yaml.org,2002:float",
+            re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9][0-9_]*)"
+                       r"[eE][-+]?[0-9]+$"),
+            list("-+0123456789."))
         with open(path) as f:
-            doc = yaml.safe_load(f) or {}
+            doc = yaml.load(f, Loader) or {}
     doc.update(overrides)
     return config_from_dict(doc)
 
@@ -224,8 +257,12 @@ def build_scene(cfg: RunConfig, seed_index: int) -> Scenario:
     return scen.with_vehicles(out)
 
 
-def prepare_scene(cfg: RunConfig, seed_index: int, rate: float) -> Scenario:
-    scen = build_scene(cfg, seed_index)
+def prepare_scene(cfg: RunConfig, seed_index: int, rate: float,
+                  scene: Scenario = None) -> Scenario:
+    """The scene of one (seed, rate) cell: penetration and technique applied
+    to `scene`, which is build_scene(cfg, seed_index) and is built here when
+    not given."""
+    scen = scene if scene is not None else build_scene(cfg, seed_index)
     rng_p = np.random.default_rng(np.random.SeedSequence(
         [cfg.seed, seed_index, PEN_TAG, int(round(rate * 1000))]))
     scen = assign_penetration(scen, rate, rng_p)
@@ -367,8 +404,9 @@ def simulate_dwell(cfg: RunConfig, scen: Scenario, seed_index: int,
 # ---------------------------------------------------------------------------
 # sweep
 
-def run_cell(cfg: RunConfig, seed_index: int, rate: float) -> SweepResult:
-    scen = prepare_scene(cfg, seed_index, rate)
+def run_cell(cfg: RunConfig, seed_index: int, rate: float,
+             scene: Scenario = None) -> SweepResult:
+    scen = prepare_scene(cfg, seed_index, rate, scene)
     n_dwells, frame_p = dwell_schedule(cfg, scen)
     hits, floors, snrs = [], [], []
     for d in range(n_dwells):
@@ -386,23 +424,38 @@ def run_cell(cfg: RunConfig, seed_index: int, rate: float) -> SweepResult:
         n_dwells=n_dwells, seed=seed_index)
 
 
-def _cell_task(args):
-    cfg, seed_index, rate = args
-    return (seed_index, rate), run_cell(cfg, seed_index, rate)
+def _rates_per_task(n_seeds: int, n_rates: int, workers: int) -> int:
+    """How many of a seed's rates one pool task runs on one build of the
+    seed's scene: the most that keeps the busiest worker's share, counted in
+    cells with every task's cells dealt out evenly, as low as one cell per
+    task would."""
+    def busiest(k):
+        return math.ceil(n_seeds * math.ceil(n_rates / k) / workers) * k
+    return min(range(n_rates, 0, -1), key=busiest, default=1)
+
+
+def _seed_task(args):
+    """Some rates of one seed, on the seed's scene built once."""
+    cfg, seed_index, rates = args
+    scene = build_scene(cfg, seed_index)
+    return [run_cell(cfg, seed_index, r, scene) for r in rates]
 
 
 def run_sweep(cfg: RunConfig, csv_path: str = None):
-    """All (seed, rate) cells of one config; returns SweepResults in a fixed
-    order and optionally writes them as one CSV."""
-    tasks = [(cfg, s, r) for s in range(cfg.n_seeds)
-             for r in cfg.penetration_rates]
-    if cfg.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(cfg.workers) as pool:
-            got = dict(pool.map(_cell_task, tasks))
+    """All (seed, rate) cells of one config; returns SweepResults seed-major,
+    rate-minor and optionally writes them as one CSV.  Each pool task runs
+    `_rates_per_task` of one seed's rates on one build of its scene."""
+    rates = cfg.penetration_rates
+    k = _rates_per_task(cfg.n_seeds, len(rates), cfg.workers)
+    tasks = [(cfg, s, rates[i:i + k]) for s in range(cfg.n_seeds)
+             for i in range(0, len(rates), k)]
+    workers = min(cfg.workers, len(tasks))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
+            per_task = list(pool.map(_seed_task, tasks))
     else:
-        got = dict(_cell_task(t) for t in tasks)
-    results = [got[(s, r)] for s in range(cfg.n_seeds)
-               for r in cfg.penetration_rates]
+        per_task = map(_seed_task, tasks)
+    results = [r for rows in per_task for r in rows]
     if csv_path is not None:
         text = results_csv(cfg, results)
         os.makedirs(os.path.dirname(csv_path) or ".", exist_ok=True)

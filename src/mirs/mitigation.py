@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .scenario import Polarization, RadarInstance, Scenario
+from .waveform import WaveformConfig
 
 BAND_LO_HZ = 77e9
 BAND_TOTAL_HZ = 4e9
@@ -57,9 +58,10 @@ def mount_class(radar: RadarInstance) -> int:
     return 2 if front else 3
 
 
-def _fit_in_band(radar: RadarInstance, band_lo: float, band_width: float,
-                 rng: np.random.Generator) -> RadarInstance:
-    wf = radar.waveform
+def _fit_in_band(wf: WaveformConfig, band_lo: float, band_width: float,
+                 rng: np.random.Generator) -> WaveformConfig:
+    """`wf` with its slope shrunk to fit the band if needed and its carrier
+    redrawn so the sweep stays inside [band_lo, band_lo + band_width]."""
     slope = wf.slope
     sweep = slope * wf.chirp_duration
     if sweep > band_width:
@@ -69,7 +71,7 @@ def _fit_in_band(radar: RadarInstance, band_lo: float, band_width: float,
     if sweep > band_width:
         raise ConfigurationError("sweep cannot fit the allocated band")
     carrier = rng.uniform(band_lo, band_lo + band_width - sweep)
-    return replace(radar, waveform=replace(wf, slope=slope, carrier=carrier))
+    return replace(wf, slope=slope, carrier=carrier)
 
 
 def apply_predefined_frequency(scenario: Scenario,
@@ -83,8 +85,9 @@ def apply_predefined_frequency(scenario: Scenario,
         for r in v.radars:
             band = mount_class(r)
             lo = BAND_LO_HZ + band * width
-            r2 = _fit_in_band(r, lo, width, rng)
-            radars.append(replace(r2, band_assignment=(lo, lo + width)))
+            radars.append(replace(
+                r, waveform=_fit_in_band(r.waveform, lo, width, rng),
+                band_assignment=(lo, lo + width)))
         out.append(replace(v, radars=tuple(radars)))
     return scenario.with_vehicles(out)
 
@@ -150,10 +153,10 @@ def apply_time_frequency_coding(scenario: Scenario, n_bands: int = 4,
             cell = rank[(v.id, i)] % (n_bands * n_slots)
             band, slot = cell % n_bands, cell // n_bands
             lo = BAND_LO_HZ + band * width
-            r2 = _fit_in_band(r, lo, width, rng)
+            wf = _fit_in_band(r.waveform, lo, width, rng)
             sync = rng.uniform(-sync_jitter, sync_jitter) if sync_jitter > 0 else 0.0
             radars.append(replace(
-                r2, band_assignment=(lo, lo + width),
+                r, waveform=wf, band_assignment=(lo, lo + width),
                 tf_slot=(band, slot, n_slots, frame_p, sync)))
         out.append(replace(v, radars=tuple(radars)))
     return scenario.with_vehicles(out)

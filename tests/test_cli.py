@@ -103,6 +103,23 @@ def test_technique_flag_wins_over_nested_plan(tmp_path):
     assert "# technique=none" in out.read_text()
 
 
+def test_exponent_without_dot_is_a_number(tmp_path):
+    # YAML 1.1 reads an exponent without a dot or a sign as a string
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("density: low\ntopology: front\nhost_type: LRR\n"
+                   "n_seeds: 1\nn_dwells: 1\npenetration_rates: [0, 1e-1]\n"
+                   "cfar_pfa: 1e-4\nnoise_figure_db: 1e1\n"
+                   "target_rcs_dbsm: 1.5e1\n")
+    out = tmp_path / "o.csv"
+    rc = main(["sweep", "--config", str(cfg), "--out", str(out)])
+    assert rc == 0
+    text = out.read_text()
+    assert "# cfar_pfa=0.0001\n" in text
+    assert "# noise_figure_db=10.0\n" in text
+    assert "# target_rcs_dbsm=15.0\n" in text
+    assert "# penetration_rates=0,0.1\n" in text
+
+
 @pytest.mark.parametrize("text, why", [
     ("host_type: LRR\ntarget_range: 450\n", "above the IF band"),
     ("window: kaiser\n", "unknown window: kaiser"),
@@ -116,10 +133,23 @@ def test_technique_flag_wins_over_nested_plan(tmp_path):
     ("cfar_train: 2\n", "cfar_train must be >= 4"),
     ("cfar_pfa: 0.0\n", "cfar_pfa must be in (0, 1)"),
     ("cfar_pfa: 1.0\n", "cfar_pfa must be in (0, 1)"),
+    ("cfar_pfa: abc\n",
+     "bad config value: cfar_pfa: 'abc' is not a valid float"),
+    ("n_seeds: 1e1\n", "bad config value: n_seeds: 10.0 is not a valid int"),
+    ("noise_figure_db: nan\n",
+     "bad config value: noise_figure_db: 'nan' is not a valid float"),
+    ("duration: .inf\n", "bad config value: duration: inf is not a valid float"),
+    ("penetration_rates: [0, abc]\n",
+     "bad config value: penetration_rates: 'abc' is not a valid float"),
+    ("plan: {sync_jitter: 2e-x}\n", "bad config value: sync_jitter"),
+    ("plan: 3\n", "bad config key"),
 ], ids=["target_beyond_if_band", "unknown_window", "interferer_only_host",
         "unknown_topology", "unknown_host_type", "unknown_technique",
         "negative_n_dwells", "zero_workers", "negative_cfar_guard",
-        "short_cfar_train", "zero_cfar_pfa", "unit_cfar_pfa"])
+        "short_cfar_train", "zero_cfar_pfa", "unit_cfar_pfa",
+        "non_numeric_cfar_pfa", "exponent_n_seeds", "nan_noise_figure",
+        "infinite_duration", "non_numeric_rate", "non_numeric_plan_field",
+        "plan_not_a_mapping"])
 def test_bad_config_fails_before_any_scene(tmp_path, capsys, monkeypatch, text, why):
     def no_scene(*args, **kwargs):
         raise AssertionError("a scene was built")

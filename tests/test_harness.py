@@ -1,4 +1,5 @@
 """Harness tests: presets, config parsing, determinism, analogs, dumps."""
+import concurrent.futures
 import math
 import os
 
@@ -8,7 +9,8 @@ import yaml
 
 from mirs.errors import ConfigurationError
 from mirs.harness import (HOST_ORDER, HOST_TARGET_RANGE, PENETRATION_GRID,
-                          RADAR_A, RunConfig, build_scene, chamber_layout,
+                          RADAR_A, RunConfig, _rates_per_task, build_scene,
+                          chamber_layout,
                           config_from_dict, dump_maps, dwell_schedule,
                           field_layout, load_config, output_dir,
                           prepare_scene, preset_config, read_results_csv,
@@ -152,6 +154,80 @@ def test_run_cell_and_sweep_cardinality():
     base = run_cell(cfg, 0, 0.0)
     assert base.pd == res[0].pd
     assert base.mean_noise_floor_db == res[0].mean_noise_floor_db
+
+
+def test_sweep_builds_each_seed_scene_once(monkeypatch):
+    cfg = RunConfig(**{**QUICK, "penetration_rates": (0.0, 0.5, 1.0)})
+    built = []
+
+    def counted(*args):
+        built.append(args[1])
+        return build_scene(*args)
+    monkeypatch.setattr("mirs.harness.build_scene", counted)
+    rows = run_sweep(cfg)
+    assert built == [0, 1]
+    monkeypatch.undo()
+    assert rows == [run_cell(cfg, s, r) for s in range(2)
+                    for r in cfg.penetration_rates]
+
+
+@pytest.mark.parametrize("technique", list(Technique), ids=lambda t: t.value)
+def test_prepare_scene_on_a_shared_scene(technique):
+    plan = MitigationPlan(technique=technique, n_bands=64, n_slots=6)
+    cfg = RunConfig(**{**QUICK, "density": "medium", "topology": Topology.FULL,
+                       "plan": plan})
+    for i in range(2):
+        base = build_scene(cfg, i)
+        for rate in PENETRATION_GRID:
+            assert prepare_scene(cfg, i, rate, base) == \
+                prepare_scene(cfg, i, rate)
+        # preparing every rate left the shared scene as built
+        assert base == build_scene(cfg, i)
+
+
+@pytest.mark.parametrize("n_seeds, n_rates, workers, want", [
+    (16, 6, 2, 6), (10, 6, 1, 6), (10, 6, 2, 6), (10, 6, 3, 2), (10, 6, 4, 3),
+    (10, 6, 8, 2), (3, 6, 2, 3), (1, 6, 4, 2), (2, 1, 2, 1), (1, 0, 2, 1)])
+def test_rates_per_task(n_seeds, n_rates, workers, want):
+    assert _rates_per_task(n_seeds, n_rates, workers) == want
+
+    def busiest(k):   # cells on the busiest worker, tasks dealt out evenly
+        return math.ceil(n_seeds * math.ceil(n_rates / k) / workers) * k
+    if n_rates:
+        assert busiest(want) == busiest(1)
+
+
+def test_sweep_pool_is_capped_at_the_task_count(monkeypatch):
+    opened, built = [], []
+
+    class InlinePool:
+        def __init__(self, workers):
+            opened.append(workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    def counted(*args):
+        built.append(args[1])
+        return build_scene(*args)
+    one = {**QUICK, "n_dwells": 1, "penetration_rates": (0.0,)}
+    three = {**one, "n_seeds": 1, "penetration_rates": (0.0, 0.5, 1.0)}
+    want = run_sweep(RunConfig(**three))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr("mirs.harness.build_scene", counted)
+    run_sweep(RunConfig(**{**one, "n_seeds": 1, "workers": 4}))
+    run_sweep(RunConfig(**{**one, "n_seeds": 2, "workers": 8}))
+    assert opened == [2]
+    # one seed's three rates on two workers: tasks of two rates and one
+    built.clear()
+    assert run_sweep(RunConfig(**{**three, "workers": 2})) == want
+    assert opened == [2, 2] and built == [0, 0]
 
 
 def test_csv_byte_determinism_and_worker_independence(tmp_path):
