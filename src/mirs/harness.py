@@ -29,9 +29,10 @@ from .processing import (WINDOWS, ca_cfar, noise_floor, range_chirp,
                          target_snr_db)
 from .propagation import (PATH_KINDS, PathKind, echo_power, one_way_gain,
                           paths, vehicle_rects)
-from .scenario import (CLOCK_DRIFT_PPM, RadarInstance, Scenario, Topology,
-                       advance, assign_penetration, generate_highway,
-                       install_host_radar, install_radars, load_scenario)
+from .scenario import (CAR_SIZE, CLOCK_DRIFT_PPM, RadarInstance, Scenario,
+                       Topology, advance, assign_penetration, generate_highway,
+                       install_host_radar, install_radars, load_scenario,
+                       radar_layout)
 from .synthesis import (Emitter, TargetEcho, ThermalModel, can_beat_in_band,
                         chirp_times_in_window, host_chirp_times,
                         synthesize_dwell, write_cube)
@@ -126,6 +127,37 @@ class RunConfig:
             slope = WAVEFORM_RANGES[self.host_type]["slope"][1]
             if 2.0 * r * slope * (1 + CLOCK_DRIFT_PPM * 1e-6) / C0 > DEFAULT_ADC_RATE_HZ:
                 raise ConfigurationError(f"target_range {r:g} m: beat above the IF band")
+        if self.plan.technique is Technique.TIME_FREQUENCY_CODING:
+            self._check_tf_plan()
+
+    def _check_tf_plan(self):
+        """Reject an empty TF-coding grid and, for a generated scene, a slot
+        shorter than the longest dwell any of its radars can draw
+        (n_chirps * pri at the range maxima, slowed by the worst clock
+        drift), plus a start offset of up to one PRI and the sync jitter of
+        both neighbouring slots."""
+        p = self.plan
+        for name, least in (("n_bands", 1), ("n_slots", 1)):
+            if getattr(p, name) < least:
+                raise ConfigurationError(f"{name} must be >= {least}")
+        if not p.tf_frame_rate > 0.0:
+            raise ConfigurationError("tf_frame_rate must be > 0")
+        if p.sync_jitter < 0.0:
+            raise ConfigurationError("sync_jitter must be >= 0")
+        if self.scenario_file:   # apply_time_frequency_coding checks each radar
+            return
+        types = {self.host_type} | {t for t, _, _ in
+                                    radar_layout(self.topology, *CAR_SIZE)}
+
+        def longest(t):
+            pri, n_chirps = (WAVEFORM_RANGES[t][k][1] for k in ("pri", "n_chirps"))
+            return n_chirps * pri / (1 - CLOCK_DRIFT_PPM * 1e-6) + pri
+        worst = max(map(longest, types)) + 2.0 * p.sync_jitter
+        slot = 1.0 / (p.tf_frame_rate * p.n_slots)
+        if slot < worst:
+            raise ConfigurationError(
+                f"time_frequency_coding slot {slot * 1e3:.4g} ms is shorter "
+                f"than the longest dwell {worst * 1e3:.4g} ms")
 
     def metadata(self):
         md = {
@@ -284,7 +316,7 @@ def dwell_schedule(cfg: RunConfig, scen: Scenario):
 # ---------------------------------------------------------------------------
 # single dwell
 
-@dataclass
+@dataclass(frozen=True)
 class DwellResult:
     detected: bool
     floor_db: float
@@ -356,7 +388,16 @@ def build_emitters(snap: Scenario, host_pos, host_bore, hr: RadarInstance,
 
 
 def simulate_dwell(cfg: RunConfig, scen: Scenario, seed_index: int,
-                   dwell_index: int, frame_p: float) -> DwellResult:
+                   dwell_index: int, frame_p: float,
+                   reuse: dict = None) -> DwellResult:
+    """One host dwell of a prepared scene.
+
+    `reuse`, if given, holds the interference-free dwells of one
+    (cfg, seed_index), keyed on all that such a dwell reads of its scene:
+    the dwell index, the advanced host vehicle with its radars, the host
+    radar index and the reference target.  A dwell whose emitter list is
+    empty returns the result stored under its key, or computes and stores it.
+    """
     snap = advance(scen, dwell_index * frame_p)
     host_v = snap.host
     hr = snap.host_radar
@@ -380,6 +421,11 @@ def simulate_dwell(cfg: RunConfig, scen: Scenario, seed_index: int,
     t0, t1 = host_times[0], host_times[-1] + host_wf.chirp_duration
     emitters = build_emitters(snap, host_pos, host_bore, hr, host_wf, t0, t1,
                               (cfg.seed, seed_index))
+    key = None
+    if reuse is not None and not emitters:
+        key = (dwell_index, host_v, snap.host_radar_index, tgt)
+        if key in reuse:
+            return reuse[key]
 
     noise = ThermalModel(noise_figure_db=cfg.noise_figure_db)
     noise_rng = np.random.default_rng(np.random.SeedSequence(
@@ -397,20 +443,25 @@ def simulate_dwell(cfg: RunConfig, scen: Scenario, seed_index: int,
                    pfa=cfg.cfar_pfa)
     hit = bool(targets) and target_detected(dets, rb, db, rd.n_doppler_bins)
     snr = target_snr_db(rd, rb, db, floor) if targets else float("nan")
-    return DwellResult(detected=hit, floor_db=floor, target_snr_db=snr,
-                       n_emitters=len(emitters))
+    result = DwellResult(detected=hit, floor_db=floor, target_snr_db=snr,
+                         n_emitters=len(emitters))
+    if key is not None:
+        reuse[key] = result
+    return result
 
 
 # ---------------------------------------------------------------------------
 # sweep
 
 def run_cell(cfg: RunConfig, seed_index: int, rate: float,
-             scene: Scenario = None) -> SweepResult:
+             scene: Scenario = None, reuse: dict = None) -> SweepResult:
+    """One (seed, rate) cell; `reuse` is simulate_dwell's, shared by the
+    cells of one (cfg, seed_index)."""
     scen = prepare_scene(cfg, seed_index, rate, scene)
     n_dwells, frame_p = dwell_schedule(cfg, scen)
     hits, floors, snrs = [], [], []
     for d in range(n_dwells):
-        r = simulate_dwell(cfg, scen, seed_index, d, frame_p)
+        r = simulate_dwell(cfg, scen, seed_index, d, frame_p, reuse)
         hits.append(r.detected)
         floors.append(r.floor_db)
         snrs.append(r.target_snr_db)
@@ -435,10 +486,12 @@ def _rates_per_task(n_seeds: int, n_rates: int, workers: int) -> int:
 
 
 def _seed_task(args):
-    """Some rates of one seed, on the seed's scene built once."""
+    """Some rates of one seed, on the seed's scene built once; each
+    interference-free dwell is computed once for all of them."""
     cfg, seed_index, rates = args
     scene = build_scene(cfg, seed_index)
-    return [run_cell(cfg, seed_index, r, scene) for r in rates]
+    reuse = {}
+    return [run_cell(cfg, seed_index, r, scene, reuse) for r in rates]
 
 
 def run_sweep(cfg: RunConfig, csv_path: str = None):

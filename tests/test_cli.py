@@ -143,13 +143,31 @@ def test_exponent_without_dot_is_a_number(tmp_path):
      "bad config value: penetration_rates: 'abc' is not a valid float"),
     ("plan: {sync_jitter: 2e-x}\n", "bad config value: sync_jitter"),
     ("plan: 3\n", "bad config key"),
+    ("plan: {technique: time_frequency_coding, n_slots: 8}\n",
+     "time_frequency_coding slot 8.333 ms is shorter than the longest dwell "
+     "10.26 ms"),
+    ("plan: {technique: time_frequency_coding, n_slots: 6, "
+     "tf_frame_rate: 16.26}\n", "slot 10.25 ms is shorter"),
+    ("plan: {technique: time_frequency_coding, n_slots: 6, "
+     "sync_jitter: 5e-4}\n", "slot 11.11 ms is shorter"),
+    ("host_type: SBZA\n"
+     "plan: {technique: time_frequency_coding, n_slots: 7}\n",
+     "slot 9.524 ms is shorter"),
+    ("plan: {technique: time_frequency_coding, n_slots: 0}\n",
+     "n_slots must be >= 1"),
+    ("plan: {technique: time_frequency_coding, tf_frame_rate: 0.0}\n",
+     "tf_frame_rate must be > 0"),
+    ("plan: {technique: time_frequency_coding, sync_jitter: -1e-3}\n",
+     "sync_jitter must be >= 0"),
 ], ids=["target_beyond_if_band", "unknown_window", "interferer_only_host",
         "unknown_topology", "unknown_host_type", "unknown_technique",
         "negative_n_dwells", "zero_workers", "negative_cfar_guard",
         "short_cfar_train", "zero_cfar_pfa", "unit_cfar_pfa",
         "non_numeric_cfar_pfa", "exponent_n_seeds", "nan_noise_figure",
         "infinite_duration", "non_numeric_rate", "non_numeric_plan_field",
-        "plan_not_a_mapping"])
+        "plan_not_a_mapping", "tf_slot_too_short", "tf_slot_without_offset",
+        "tf_slot_without_sync_jitter", "tf_slot_of_topology_lrr",
+        "tf_no_slots", "tf_zero_frame_rate", "tf_negative_sync_jitter"])
 def test_bad_config_fails_before_any_scene(tmp_path, capsys, monkeypatch, text, why):
     def no_scene(*args, **kwargs):
         raise AssertionError("a scene was built")
@@ -161,3 +179,28 @@ def test_bad_config_fails_before_any_scene(tmp_path, capsys, monkeypatch, text, 
     err = capsys.readouterr().err
     assert err.startswith("error:") and why in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_tf_coding_64x6_at_15hz_runs(tmp_path):
+    # slot 11.1 ms against a longest LRR dwell of about 10.3 ms
+    cfg = tmp_path / "tf.yaml"
+    cfg.write_text("density: medium\ntopology: full\nhost_type: LRR\n"
+                   "n_seeds: 1\nn_dwells: 1\npenetration_rates: [0.0, 1.0]\n"
+                   "plan: {technique: time_frequency_coding, n_bands: 64, "
+                   "n_slots: 6, tf_frame_rate: 15.0}\n")
+    out = tmp_path / "o.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "# n_slots=6\n" in out.read_text()
+
+
+def test_tf_slot_of_a_scenario_file_is_checked_per_radar(tmp_path, capsys):
+    scene = tmp_path / "scene.json"
+    assert main(["generate-scenario", "--density", "low", "--topology",
+                 "front", "--host-type", "LRR", "--out", str(scene)]) == 0
+    cfg = tmp_path / "tf.yaml"
+    cfg.write_text(f"scenario_file: {scene}\nn_dwells: 1\n"
+                   "plan: {technique: time_frequency_coding, n_slots: 20}\n")
+    capsys.readouterr()
+    rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: dwell does not fit the time slot\n"

@@ -2,6 +2,7 @@
 import concurrent.futures
 import math
 import os
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from mirs.harness import (HOST_ORDER, HOST_TARGET_RANGE, PENETRATION_GRID,
 from mirs.mitigation import MitigationPlan, Technique
 from mirs.processing import vertical_stripes
 from mirs.scenario import Topology
-from mirs.synthesis import read_cube
+from mirs.synthesis import read_cube, synthesize_dwell
 from mirs.waveform import RadarType
 
 
@@ -169,6 +170,121 @@ def test_sweep_builds_each_seed_scene_once(monkeypatch):
     monkeypatch.undo()
     assert rows == [run_cell(cfg, s, r) for s in range(2)
                     for r in cfg.penetration_rates]
+
+
+# full topology: every technique's sweep mixes clean and interfered dwells
+REUSE = {**QUICK, "topology": Topology.FULL,
+         "penetration_rates": PENETRATION_GRID, "n_dwells": 3}
+TF_64x6 = MitigationPlan(technique=Technique.TIME_FREQUENCY_CODING,
+                         n_bands=64, n_slots=6)
+
+
+def _count_synthesis(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[3]))     # the dwell's emitters
+        return synthesize_dwell(*args, **kwargs)
+    monkeypatch.setattr("mirs.harness.synthesize_dwell", counted)
+    return calls
+
+
+@pytest.mark.parametrize("technique", list(Technique), ids=lambda t: t.value)
+def test_sweep_with_dwell_reuse_equals_run_cell(technique, monkeypatch):
+    plan = MitigationPlan(technique=technique, n_bands=64, n_slots=6)
+    cfg = RunConfig(**{**REUSE, "plan": plan})
+    want = [run_cell(cfg, s, r) for s in range(2)
+            for r in cfg.penetration_rates]
+    calls = _count_synthesis(monkeypatch)
+    assert run_sweep(cfg) == want
+    assert len(calls) < len(want) * cfg.n_dwells     # some dwell is reused
+
+
+def _synthesis_once_per_clean_dwell(cfg):
+    """(dwells with emitters, distinct clean dwell indices) of a one-seed
+    sweep, from every dwell simulated without reuse."""
+    with_emitters, clean = 0, set()
+    for rate in cfg.penetration_rates:
+        scen = prepare_scene(cfg, 0, rate)
+        n, frame_p = dwell_schedule(cfg, scen)
+        for d in range(n):
+            if simulate_dwell(cfg, scen, 0, d, frame_p).n_emitters:
+                with_emitters += 1
+            else:
+                clean.add(d)
+    return with_emitters, len(clean)
+
+
+TF_SWEEP = {**REUSE, "density": "medium", "n_seeds": 1, "plan": TF_64x6}
+
+
+def test_sweep_synthesizes_each_clean_dwell_once(monkeypatch):
+    cfg = RunConfig(**TF_SWEEP)
+    with_emitters, clean = _synthesis_once_per_clean_dwell(cfg)
+    assert with_emitters + clean < len(cfg.penetration_rates) * cfg.n_dwells
+    calls = _count_synthesis(monkeypatch)
+    run_sweep(cfg)
+    assert len(calls) == with_emitters + clean
+    assert calls.count(0) == clean
+
+
+def test_dwell_reuse_ends_with_its_task(monkeypatch):
+    cfg = RunConfig(**TF_SWEEP)
+    want = sum(_synthesis_once_per_clean_dwell(cfg))
+    calls = _count_synthesis(monkeypatch)
+    for _ in range(2):
+        calls.clear()
+        run_sweep(cfg)
+        assert len(calls) == want
+
+
+def test_dwell_reuse_keys_on_the_dwell_index():
+    # a parked host is the same vehicle at every dwell
+    cfg = RunConfig(**{**QUICK, "penetration_rates": (0.0,), "n_dwells": 4})
+    scene = build_scene(cfg, 0)
+    parked = scene.with_vehicles(
+        replace(v, speed=0.0) if v.id == scene.host_vehicle_id else v
+        for v in scene.vehicles)
+    reuse = {}
+    assert run_cell(cfg, 0, 0.0, parked, reuse) == run_cell(cfg, 0, 0.0, parked)
+    assert len(reuse) == cfg.n_dwells
+
+
+def _with_host_radars(s, radars, index=0):
+    return replace(s.with_vehicles(
+        replace(v, radars=radars) if v.id == s.host_vehicle_id else v
+        for v in s.vehicles), host_radar_index=index)
+
+
+@pytest.mark.parametrize("differ", ["host_radar", "host_radar_index",
+                                    "reference_target"])
+def test_dwell_reuse_keeps_different_hosts_apart(differ):
+    cfg = RunConfig(**{**QUICK, "penetration_rates": (0.0,)})
+    scene = build_scene(cfg, 0)
+    hr = scene.host_radar
+    other = replace(hr, waveform=replace(hr.waveform,
+                                         n_chirps=hr.waveform.n_chirps // 2))
+    if differ == "host_radar":
+        a, b = scene, _with_host_radars(scene, (other,))
+    elif differ == "host_radar_index":   # one host vehicle with two radars
+        a = _with_host_radars(scene, (hr, other), 0)
+        b = _with_host_radars(scene, (hr, other), 1)
+    else:
+        a, b = scene, replace(scene, reference_target=replace(
+            scene.reference_target, rcs=scene.reference_target.rcs / 4.0))
+    reuse = {}
+    got = [run_cell(cfg, 0, 0.0, s, reuse) for s in (a, b)]
+    assert len(reuse) == 2 * cfg.n_dwells
+    assert got == [run_cell(cfg, 0, 0.0, s) for s in (a, b)]
+    assert got[0] != got[1]
+
+
+def test_dwell_result_is_frozen():
+    cfg = RunConfig(**QUICK)
+    s = prepare_scene(cfg, 0, 0.0)
+    r = simulate_dwell(cfg, s, 0, 0, dwell_schedule(cfg, s)[1])
+    with pytest.raises(FrozenInstanceError):
+        r.detected = False
 
 
 @pytest.mark.parametrize("technique", list(Technique), ids=lambda t: t.value)
