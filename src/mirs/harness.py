@@ -129,6 +129,34 @@ class RunConfig:
                 raise ConfigurationError(f"target_range {r:g} m: beat above the IF band")
         if self.plan.technique is Technique.TIME_FREQUENCY_CODING:
             self._check_tf_plan()
+        if self.plan.technique is Technique.TIME_DITHERING:
+            self._check_dither_plan()
+
+    def _radar_types(self):
+        """The radar classes of a generated scene: the host's and the
+        topology's."""
+        return {self.host_type} | {t for t, _, _ in
+                                   radar_layout(self.topology, *CAR_SIZE)}
+
+    def _check_dither_plan(self):
+        """Reject a negative jitter bound and, for a generated scene, one
+        longer than the gap a radar of one of its classes can leave between
+        a chirp's end and the next PRI (pri at its minimum, chirp_duration
+        at its maximum), with WaveformConfig's tolerance."""
+        bound = self.plan.jitter_bound
+        if bound < 0.0:
+            raise ConfigurationError("jitter_bound must be >= 0")
+        if self.scenario_file:   # apply_time_dithering checks each radar
+            return
+        gaps = [(WAVEFORM_RANGES[t]["pri"][0],
+                 WAVEFORM_RANGES[t]["chirp_duration"][1])
+                for t in self._radar_types()]
+        broken = [pri - cd for pri, cd in gaps
+                  if bound + cd > pri * (1 + 1e-12)]
+        if broken:
+            raise ConfigurationError(
+                f"time_dithering jitter_bound {bound * 1e6:.4g} us is longer "
+                f"than the {min(broken) * 1e6:.4g} us a chirp can leave in its PRI")
 
     def _check_tf_plan(self):
         """Reject an empty TF-coding grid and, for a generated scene, a slot
@@ -146,13 +174,11 @@ class RunConfig:
             raise ConfigurationError("sync_jitter must be >= 0")
         if self.scenario_file:   # apply_time_frequency_coding checks each radar
             return
-        types = {self.host_type} | {t for t, _, _ in
-                                    radar_layout(self.topology, *CAR_SIZE)}
 
         def longest(t):
             pri, n_chirps = (WAVEFORM_RANGES[t][k][1] for k in ("pri", "n_chirps"))
             return n_chirps * pri / (1 - CLOCK_DRIFT_PPM * 1e-6) + pri
-        worst = max(map(longest, types)) + 2.0 * p.sync_jitter
+        worst = max(map(longest, self._radar_types())) + 2.0 * p.sync_jitter
         slot = 1.0 / (p.tf_frame_rate * p.n_slots)
         if slot < worst:
             raise ConfigurationError(

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,20 +58,50 @@ def mount_class(radar: RadarInstance) -> int:
     return 2 if front else 3
 
 
-def _fit_in_band(wf: WaveformConfig, band_lo: float, band_width: float,
-                 rng: np.random.Generator) -> WaveformConfig:
-    """`wf` with its slope shrunk to fit the band if needed and its carrier
-    redrawn so the sweep stays inside [band_lo, band_lo + band_width]."""
-    slope = wf.slope
-    sweep = slope * wf.chirp_duration
-    if sweep > band_width:
-        # shrink the slope so the sweep fits the allocation
-        slope = band_width / wf.chirp_duration
-        sweep = band_width
-    if sweep > band_width:
-        raise ConfigurationError("sweep cannot fit the allocated band")
-    carrier = rng.uniform(band_lo, band_lo + band_width - sweep)
-    return replace(wf, slope=slope, carrier=carrier)
+def _fitted_waveforms(radars, band, width: float, rng: np.random.Generator,
+                      sync_jitter: float = 0.0):
+    """The waveforms of `radars`, each slope shrunk to fit its band
+    [lo, lo + width] (lo = BAND_LO_HZ + band * width) if needed and each
+    carrier redrawn so the sweep stays inside; plus the band edges and one
+    sync offset per radar.
+
+    All draws come from one `rng.uniform` call over the radars in order,
+    each carrier followed by its sync offset when `sync_jitter` > 0: the
+    same values as one scalar call per draw."""
+    cd = np.array([r.waveform.chirp_duration for r in radars])
+    slope = np.array([r.waveform.slope for r in radars])
+    lo = BAND_LO_HZ + np.asarray(band) * width
+    sweep = slope * cd
+    slope = np.where(sweep > width, width / cd, slope)
+    high = lo + width - np.minimum(sweep, width)
+    if sync_jitter > 0:
+        n = len(radars)
+        draws = rng.uniform(np.column_stack([lo, np.full(n, -sync_jitter)]),
+                            np.column_stack([high, np.full(n, sync_jitter)]))
+        carrier, sync = draws.T.tolist()
+    else:
+        carrier = rng.uniform(lo, high).tolist()
+        sync = [0.0] * len(radars)
+    wfs = [WaveformConfig(
+        pri=wf.pri, slope=k, chirp_duration=wf.chirp_duration, carrier=f,
+        n_chirps=wf.n_chirps, fps=wf.fps, n_elements=wf.n_elements,
+        tx_power=wf.tx_power, element_gain=wf.element_gain,
+        adc_rate=wf.adc_rate, start_offset=wf.start_offset)
+        for wf, k, f in zip((r.waveform for r in radars), slope.tolist(), carrier)]
+    return wfs, lo.tolist(), sync
+
+
+def _radar(r: RadarInstance, **changes) -> RadarInstance:
+    """`r` with `changes`, built by the constructor: this runs per radar of
+    a scene, where dataclasses.replace costs about half as much again."""
+    return RadarInstance(**(vars(r) | changes))
+
+
+def _with_radars(scenario: Scenario, radars) -> Scenario:
+    """`scenario` with its radars, in (vehicle, radar) order, replaced."""
+    it = iter(radars)
+    return scenario.with_vehicles(
+        v.with_radars([next(it) for _ in v.radars]) for v in scenario.vehicles)
 
 
 def apply_predefined_frequency(scenario: Scenario,
@@ -79,17 +109,12 @@ def apply_predefined_frequency(scenario: Scenario,
     """Allocate one of four 1 GHz sub-bands per mount class and re-draw each
     carrier so the sweep stays inside its band."""
     width = BAND_TOTAL_HZ / 4.0
-    out = []
-    for v in scenario.vehicles:
-        radars = []
-        for r in v.radars:
-            band = mount_class(r)
-            lo = BAND_LO_HZ + band * width
-            radars.append(replace(
-                r, waveform=_fit_in_band(r.waveform, lo, width, rng),
-                band_assignment=(lo, lo + width)))
-        out.append(replace(v, radars=tuple(radars)))
-    return scenario.with_vehicles(out)
+    radars = [r for v in scenario.vehicles for r in v.radars]
+    wfs, lo, _ = _fitted_waveforms(radars, [mount_class(r) for r in radars],
+                                   width, rng)
+    return _with_radars(scenario, (
+        _radar(r, waveform=wf, band_assignment=(f, f + width))
+        for r, wf, f in zip(radars, wfs, lo)))
 
 
 def apply_predefined_polarization(scenario: Scenario) -> Scenario:
@@ -98,8 +123,7 @@ def apply_predefined_polarization(scenario: Scenario) -> Scenario:
     out = []
     for v in scenario.vehicles:
         pol = Polarization.V if math.cos(v.heading) > 0 else Polarization.H
-        out.append(replace(v, radars=tuple(replace(r, polarization=pol)
-                                           for r in v.radars)))
+        out.append(v.with_radars(_radar(r, polarization=pol) for r in v.radars))
     return scenario.with_vehicles(out)
 
 
@@ -118,15 +142,14 @@ def apply_time_dithering(scenario: Scenario, jitter_bound: float = 2e-6) -> Scen
         for r in v.radars:
             if jitter_bound + r.waveform.chirp_duration > r.waveform.pri:
                 raise ConfigurationError("jitter bound breaks chirp timing")
-    out = [replace(v, radars=tuple(replace(r, dither_bound=jitter_bound)
-                                   for r in v.radars))
-           for v in scenario.vehicles]
-    return scenario.with_vehicles(out)
+    return scenario.with_vehicles(
+        v.with_radars(_radar(r, dither_bound=jitter_bound) for r in v.radars)
+        for v in scenario.vehicles)
 
 
 def apply_time_frequency_coding(scenario: Scenario, n_bands: int = 4,
                                 n_slots: int = 4, sync_jitter: float = 0.0,
-                                rng: np.random.Generator = None,
+                                *, rng: np.random.Generator,
                                 frame_rate: float = 15.0) -> Scenario:
     """Assign orthogonal (band, slot) resources on a synchronized slot grid.
 
@@ -136,30 +159,22 @@ def apply_time_frequency_coding(scenario: Scenario, n_bands: int = 4,
     """
     if n_bands * n_slots < 1:
         raise ConfigurationError("empty resource grid")
-    rng = rng if rng is not None else np.random.default_rng()
     frame_p = 1.0 / frame_rate
     slot_len = frame_p / n_slots
     width = BAND_TOTAL_HZ / n_bands
 
+    radars = [r for v in scenario.vehicles for r in v.radars]
+    if any(r.waveform.dwell_duration > slot_len for r in radars):
+        raise ConfigurationError("dwell does not fit the time slot")
     keys = [(v.id, i) for v in scenario.vehicles for i in range(len(v.radars))]
     rank = {k: j for j, k in enumerate(sorted(keys))}
-
-    out = []
-    for v in scenario.vehicles:
-        radars = []
-        for i, r in enumerate(v.radars):
-            if r.waveform.dwell_duration > slot_len:
-                raise ConfigurationError("dwell does not fit the time slot")
-            cell = rank[(v.id, i)] % (n_bands * n_slots)
-            band, slot = cell % n_bands, cell // n_bands
-            lo = BAND_LO_HZ + band * width
-            wf = _fit_in_band(r.waveform, lo, width, rng)
-            sync = rng.uniform(-sync_jitter, sync_jitter) if sync_jitter > 0 else 0.0
-            radars.append(replace(
-                r, waveform=wf, band_assignment=(lo, lo + width),
-                tf_slot=(band, slot, n_slots, frame_p, sync)))
-        out.append(replace(v, radars=tuple(radars)))
-    return scenario.with_vehicles(out)
+    cells = [rank[k] % (n_bands * n_slots) for k in keys]
+    bands = [c % n_bands for c in cells]
+    wfs, lo, sync = _fitted_waveforms(radars, bands, width, rng, sync_jitter)
+    return _with_radars(scenario, (
+        _radar(r, waveform=wf, band_assignment=(f, f + width),
+               tf_slot=(b, c // n_bands, n_slots, frame_p, dt))
+        for r, wf, f, b, c, dt in zip(radars, wfs, lo, bands, cells, sync)))
 
 
 def apply_technique(scenario: Scenario, plan: MitigationPlan,
@@ -175,6 +190,6 @@ def apply_technique(scenario: Scenario, plan: MitigationPlan,
         return apply_time_dithering(scenario, plan.jitter_bound)
     if t is Technique.TIME_FREQUENCY_CODING:
         return apply_time_frequency_coding(
-            scenario, plan.n_bands, plan.n_slots, plan.sync_jitter, rng,
-            plan.tf_frame_rate)
+            scenario, plan.n_bands, plan.n_slots, plan.sync_jitter, rng=rng,
+            frame_rate=plan.tf_frame_rate)
     raise ConfigurationError(f"unknown technique: {t!r}")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .waveform import (ClockModel, RadarType, WaveformConfig, apply_clock_drift,
-                       sample_waveform)
+                       draw_uniform, sample_waveform)
 
 CAR_SIZE = (2.0, 5.0)     # width, length [m]
 TRUCK_SIZE = (2.6, 13.0)
@@ -112,6 +112,13 @@ class Vehicle:
         # Axis-aligned: length along x regardless of heading (0 or pi).
         return (self.length / 2.0, self.width / 2.0)
 
+    def with_radars(self, radars) -> "Vehicle":
+        # the constructor, not dataclasses.replace: this runs per vehicle
+        # and per scene transform, and replace costs about twice as much
+        return Vehicle(id=self.id, kind=self.kind, center=self.center,
+                       heading=self.heading, speed=self.speed, width=self.width,
+                       length=self.length, lane=self.lane, radars=tuple(radars))
+
     def radar_world_position(self, radar: RadarInstance) -> tuple:
         c = math.cos(self.heading)
         mx, my = radar.mount
@@ -165,7 +172,7 @@ def _overlaps(x, half_len, placed):
 
 def generate_highway(density_label: str, geometry: RoadGeometry = RoadGeometry(),
                      truck_fraction: float = 0.1,
-                     rng: np.random.Generator = None,
+                     *, rng: np.random.Generator,
                      duration: float = 10.0,
                      target_rcs_dbsm: float = 10.0,
                      target_range: float = 100.0) -> Scenario:
@@ -176,7 +183,6 @@ def generate_highway(density_label: str, geometry: RoadGeometry = RoadGeometry()
     """
     if density_label not in DENSITY_TARGETS:
         raise ConfigurationError(f"unknown density label: {density_label}")
-    rng = rng if rng is not None else np.random.default_rng()
     target_count = DENSITY_TARGETS[density_label]
 
     mean_len = (1 - truck_fraction) * CAR_SIZE[1] + truck_fraction * TRUCK_SIZE[1]
@@ -272,7 +278,8 @@ def _trim_or_pad(vehicles, target_count, host, corridor, geometry,
 
 def _make_radar(radar_type, mount, boresight, rng) -> RadarInstance:
     wf = sample_waveform(radar_type, rng)
-    clock = ClockModel(drift_ppm=rng.uniform(-CLOCK_DRIFT_PPM, CLOCK_DRIFT_PPM))
+    clock = ClockModel(
+        drift_ppm=draw_uniform(rng, -CLOCK_DRIFT_PPM, CLOCK_DRIFT_PPM))
     return RadarInstance(mount=mount, boresight=boresight,
                          fov_halfwidth=FOV_HALFWIDTH[radar_type],
                          radar_type=radar_type, waveform=wf, clock=clock)
@@ -304,9 +311,9 @@ def install_radars(vehicle: Vehicle, topology: Topology,
     """Install the topology's radar set with independent waveform/clock draws."""
     if vehicle.radars:
         raise ConfigurationError("vehicle already carries radars")
-    radars = tuple(_make_radar(t, m, b, rng)
-                   for t, m, b in radar_layout(topology, vehicle.width, vehicle.length))
-    return replace(vehicle, radars=radars)
+    return vehicle.with_radars(
+        _make_radar(t, m, b, rng)
+        for t, m, b in radar_layout(topology, vehicle.width, vehicle.length))
 
 
 HOST_MOUNTS = {
@@ -325,7 +332,7 @@ def install_host_radar(vehicle: Vehicle, radar_type: RadarType,
     place, boresight = HOST_MOUNTS[radar_type]
     mount = (hl, 0.0) if place == "front_center" else (-hl, hw)
     radar = _make_radar(radar_type, mount, boresight, rng)
-    return replace(vehicle, radars=vehicle.radars + (radar,))
+    return vehicle.with_radars(vehicle.radars + (radar,))
 
 
 def assign_penetration(scenario: Scenario, rate: float,
@@ -333,13 +340,13 @@ def assign_penetration(scenario: Scenario, rate: float,
     """Keep each non-host vehicle's radars with probability `rate`."""
     if not 0.0 <= rate <= 1.0:
         raise ConfigurationError("penetration rate must be in [0, 1]")
-    out = []
-    for v in scenario.vehicles:
-        if v.id == scenario.host_vehicle_id or rng.random() < rate:
-            out.append(v)
-        else:
-            out.append(replace(v, radars=()))
-    return scenario.with_vehicles(out)
+    host = scenario.host_vehicle_id
+    # one draw per non-host vehicle in list order, as a scalar draw per
+    # vehicle would take them
+    u = iter(rng.random(sum(v.id != host for v in scenario.vehicles)).tolist())
+    return scenario.with_vehicles(
+        v if v.id == host or next(u) < rate else v.with_radars(())
+        for v in scenario.vehicles)
 
 
 def advance(scenario: Scenario, t: float) -> Scenario:
@@ -350,7 +357,10 @@ def advance(scenario: Scenario, t: float) -> Scenario:
     out = []
     for v in scenario.vehicles:
         dx = v.speed * t * math.cos(v.heading)
-        out.append(replace(v, center=((v.center[0] + dx) % L, v.center[1])))
+        out.append(Vehicle(id=v.id, kind=v.kind,
+                           center=((v.center[0] + dx) % L, v.center[1]),
+                           heading=v.heading, speed=v.speed, width=v.width,
+                           length=v.length, lane=v.lane, radars=v.radars))
     return scenario.with_vehicles(out)
 
 

@@ -119,6 +119,13 @@ WAVEFORM_RANGES = {
 }
 
 
+def draw_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
+    """`rng.uniform(lo, hi)`, bit for bit and from the same stream position,
+    for under a third of its per-call cost: numpy computes lo + (hi - lo) * u
+    from the next double, and so does this."""
+    return lo + (hi - lo) * rng.random()
+
+
 def sample_waveform(radar_type: RadarType, rng: np.random.Generator,
                     interferer_ok: bool = False) -> WaveformConfig:
     """Draw one waveform uniformly from the per-type parameter ranges."""
@@ -128,20 +135,20 @@ def sample_waveform(radar_type: RadarType, rng: np.random.Generator,
         raise ConfigurationError("USRR is an interferer-only profile")
     spec = WAVEFORM_RANGES[radar_type]
 
-    pri = rng.uniform(*spec["pri"])
-    slope = rng.uniform(*spec["slope"])
-    chirp_duration = rng.uniform(*spec["chirp_duration"])
+    pri = draw_uniform(rng, *spec["pri"])
+    slope = draw_uniform(rng, *spec["slope"])
+    chirp_duration = draw_uniform(rng, *spec["chirp_duration"])
     # Re-draw the chirp duration if the draw order allowed a violation.
     for _ in range(1000):
         if chirp_duration <= pri:
             break
-        chirp_duration = rng.uniform(*spec["chirp_duration"])
+        chirp_duration = draw_uniform(rng, *spec["chirp_duration"])
     else:
         raise ConfigurationError("chirp_duration range incompatible with PRI range")
-    carrier = rng.uniform(*spec["carrier"])
+    carrier = draw_uniform(rng, *spec["carrier"])
     n_chirps = int(rng.integers(spec["n_chirps"][0], spec["n_chirps"][1] + 1))
-    fps = rng.uniform(*spec["fps"])
-    start_offset = rng.uniform(0.0, pri)
+    fps = draw_uniform(rng, *spec["fps"])
+    start_offset = draw_uniform(rng, 0.0, pri)
     return WaveformConfig(
         pri=pri, slope=slope, chirp_duration=chirp_duration, carrier=carrier,
         n_chirps=n_chirps, fps=fps, n_elements=spec["n_elements"],

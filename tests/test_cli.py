@@ -159,6 +159,12 @@ def test_exponent_without_dot_is_a_number(tmp_path):
      "tf_frame_rate must be > 0"),
     ("plan: {technique: time_frequency_coding, sync_jitter: -1e-3}\n",
      "sync_jitter must be >= 0"),
+    ("plan: {technique: time_dithering, jitter_bound: 2.5e-6}\n",
+     "jitter_bound 2.5 us is longer than the 2 us a chirp can leave"),
+    ("host_type: SBZA\nplan: {technique: time_dithering, jitter_bound: 1e-3}\n",
+     "jitter_bound 1000 us is longer than the 2 us"),
+    ("plan: {technique: time_dithering, jitter_bound: -1e-6}\n",
+     "jitter_bound must be >= 0"),
 ], ids=["target_beyond_if_band", "unknown_window", "interferer_only_host",
         "unknown_topology", "unknown_host_type", "unknown_technique",
         "negative_n_dwells", "zero_workers", "negative_cfar_guard",
@@ -167,7 +173,9 @@ def test_exponent_without_dot_is_a_number(tmp_path):
         "infinite_duration", "non_numeric_rate", "non_numeric_plan_field",
         "plan_not_a_mapping", "tf_slot_too_short", "tf_slot_without_offset",
         "tf_slot_without_sync_jitter", "tf_slot_of_topology_lrr",
-        "tf_no_slots", "tf_zero_frame_rate", "tf_negative_sync_jitter"])
+        "tf_no_slots", "tf_zero_frame_rate", "tf_negative_sync_jitter",
+        "dither_bound_too_large", "dither_bound_of_topology_lrr",
+        "dither_negative_bound"])
 def test_bad_config_fails_before_any_scene(tmp_path, capsys, monkeypatch, text, why):
     def no_scene(*args, **kwargs):
         raise AssertionError("a scene was built")
@@ -191,6 +199,18 @@ def test_tf_coding_64x6_at_15hz_runs(tmp_path):
     out = tmp_path / "o.csv"
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
     assert "# n_slots=6\n" in out.read_text()
+
+
+@pytest.mark.parametrize("host", ["SBZA", "SRR", "LRR"])
+def test_default_dither_bound_runs(tmp_path, host):
+    # the default 2 us equals the LRR and SRR gap between chirp end and PRI
+    cfg = tmp_path / "dither.yaml"
+    cfg.write_text(f"topology: full\nhost_type: {host}\nn_seeds: 1\n"
+                   "n_dwells: 1\npenetration_rates: [1.0]\n"
+                   "plan: {technique: time_dithering}\n")
+    out = tmp_path / "o.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "# jitter_bound=2e-06\n" in out.read_text()
 
 
 def test_tf_slot_of_a_scenario_file_is_checked_per_radar(tmp_path, capsys):
