@@ -108,8 +108,14 @@ def _dispatch(args) -> int:
         return 0
 
     if args.cmd == "anechoic":
-        counts = ([int(x) for x in args.counts.split(",")]
-                  if args.counts else None)
+        counts = None
+        if args.counts:
+            try:
+                counts = [int(x) for x in args.counts.split(",")]
+            except ValueError:
+                raise ConfigurationError(f"bad --counts: {args.counts!r}")
+            if 0 not in counts:   # the rise curve is read against count 0
+                raise ConfigurationError("--counts must include 0, the baseline")
         layout = harness.field_layout() if args.field else None
         floors = harness.run_anechoic_analog(
             n_interferers=args.n_interferers, layout=layout, counts=counts,

@@ -26,7 +26,7 @@ from .mitigation import (MitigationPlan, Technique, apply_technique,
                          cross_pol_factor)
 from .processing import (WINDOWS, ca_cfar, noise_floor, range_chirp,
                          range_doppler, target_detected, target_exclusion_cells,
-                         target_snr_db)
+                         target_snr_db, zero_doppler_bin)
 from .propagation import (PATH_KINDS, PathKind, echo_power, one_way_gain,
                           paths, vehicle_rects)
 from .scenario import (CAR_SIZE, CLOCK_DRIFT_PPM, RadarInstance, Scenario,
@@ -77,6 +77,13 @@ HOST_TARGET_RANGE = {RadarType.LRR: 300.0, RadarType.SRR: 110.0,
                      RadarType.SBZA: 92.0}
 
 
+def _check_at_least(checks):
+    """Reject the first (name, value, least) of `checks` with value < least."""
+    for name, value, least in checks:
+        if value < least:
+            raise ConfigurationError(f"{name} must be >= {least}")
+
+
 def table2_cells():
     """The 27 (density, topology, host type) scene-matrix cells in row order."""
     return [(d, t, h) for d in DENSITY_ORDER for t in TOPOLOGY_ORDER
@@ -111,15 +118,21 @@ class RunConfig:
         rates = tuple(self.penetration_rates)
         if list(rates) != sorted(rates) or any(not 0 <= r <= 1 for r in rates):
             raise ConfigurationError("penetration rates must be sorted within [0, 1]")
-        for name, least in (("n_seeds", 1), ("n_dwells", 0), ("workers", 1),
-                            ("cfar_guard", 0), ("cfar_train", 4)):
-            if getattr(self, name) < least:
-                raise ConfigurationError(f"{name} must be >= {least}")
+        _check_at_least((name, getattr(self, name), least) for name, least in (
+            ("n_seeds", 1), ("seed", 0), ("n_dwells", 0), ("workers", 1),
+            ("cfar_guard", 0), ("cfar_train", 4)))
+        if not self.duration > 0.0:
+            raise ConfigurationError("duration must be > 0")
+        if self.target_range != 0.0 and not self.target_range >= 1.0:
+            raise ConfigurationError("target_range must be 0 (the host "
+                                     "type's default) or >= 1 m")
         if not 0.0 < self.cfar_pfa < 1.0:
             raise ConfigurationError("cfar_pfa must be in (0, 1)")
         if self.window not in WINDOWS:
             raise ConfigurationError(f"unknown window: {self.window}")
         if not self.scenario_file:
+            if self.density not in DENSITY_ORDER:
+                raise ConfigurationError(f"unknown density: {self.density}")
             if self.host_type not in HOST_TARGET_RANGE:
                 raise ConfigurationError(f"{self.host_type.value} cannot be a host radar")
             # reference-target beat at the host class's steepest drifted slope
@@ -461,13 +474,13 @@ def simulate_dwell(cfg: RunConfig, scen: Scenario, seed_index: int,
 
     rd = range_doppler(cube, window=cfg.window)
     f_b = 2.0 * tgt_range * host_wf.slope / C0
-    rb = int(round(f_b / (host_wf.adc_rate / cube.n_fast)))
-    db = rd.zero_doppler_bin
+    rb = int(round(f_b / (host_wf.adc_rate / cube.shape[0])))
+    db = zero_doppler_bin(rd)
     excl = target_exclusion_cells(rd, rb, db)
     floor = noise_floor(rd, exclusion=excl)
     dets = ca_cfar(rd, guard=cfg.cfar_guard, train=cfg.cfar_train,
                    pfa=cfg.cfar_pfa)
-    hit = bool(targets) and target_detected(dets, rb, db, rd.n_doppler_bins)
+    hit = bool(targets) and target_detected(dets, rb, db, rd.shape[1])
     snr = target_snr_db(rd, rb, db, floor) if targets else float("nan")
     result = DwellResult(detected=hit, floor_db=floor, target_snr_db=snr,
                          n_emitters=len(emitters))
@@ -658,13 +671,16 @@ def run_anechoic_analog(n_interferers: int = 30, layout=None, counts=None,
 
     Interferers activate in layout order; returns {count: mean floor dB}.
     """
+    _check_at_least((("n_interferers", n_interferers, 0),
+                     ("n_seeds", n_seeds, 1), ("n_dwells", n_dwells, 1),
+                     ("seed", seed, 0)))
     layout = layout if layout is not None else chamber_layout(n_interferers)
     if len(layout) < n_interferers:
         raise ConfigurationError("layout smaller than n_interferers")
     if counts is None:
         counts = sorted({0, n_interferers} | set(range(0, n_interferers + 1, 5)))
-    if max(counts) > n_interferers:
-        raise ConfigurationError("count exceeds n_interferers")
+    if not counts or min(counts) < 0 or max(counts) > n_interferers:
+        raise ConfigurationError(f"counts must lie in [0, {n_interferers}]")
 
     per_dwell = {count: [] for count in counts}
     for s in range(n_seeds):
@@ -692,6 +708,8 @@ def dump_maps(outdir, n_interferers: int = 5, dwell_index: int = 0,
     """Write time-chirp, range-chirp and range-Doppler matrices with and
     without interference (six binary files plus headers) for one chamber
     dwell.  Returns the file paths."""
+    _check_at_least((("n_interferers", n_interferers, 0),
+                     ("dwell_index", dwell_index, 0), ("seed", seed, 0)))
     try:
         os.makedirs(outdir, exist_ok=True)
     except OSError as e:
@@ -704,10 +722,9 @@ def dump_maps(outdir, n_interferers: int = 5, dwell_index: int = 0,
     written = []
     for tag, count in (("clean", 0), ("interf", n_interferers)):
         cube = chamber_cube(specs[:count], seed, 0, dwell_index)
-        mats = (("time_chirp", cube.samples),
+        mats = (("time_chirp", cube),
                 ("range_chirp", range_chirp(cube).astype(np.complex128)),
-                ("range_doppler",
-                 range_doppler(cube).power.astype(np.complex128)))
+                ("range_doppler", range_doppler(cube).astype(np.complex128)))
         for name, mat in mats:
             path = os.path.join(outdir, f"{name}_{tag}.bin")
             try:

@@ -7,43 +7,11 @@ n_chirps // 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
-from scipy.constants import c as C0
 
 from .errors import ConfigurationError
-from .synthesis import IFCube
-
-
-@dataclass
-class RangeDopplerMap:
-    power: np.ndarray            # [n_range_bins, n_doppler_bins], linear power
-    range_bin_m: float
-    doppler_bin_mps: float
-
-    @property
-    def n_range_bins(self):
-        return self.power.shape[0]
-
-    @property
-    def n_doppler_bins(self):
-        return self.power.shape[1]
-
-    @property
-    def zero_doppler_bin(self) -> int:
-        return self.n_doppler_bins // 2
-
-
-@dataclass(frozen=True)
-class Detection:
-    range_bin: int
-    doppler_bin: int
-    range: float
-    radial_speed: float
-    snr_db: float
-
 
 WINDOWS = {"rect": np.ones, "hann": np.hanning}
 
@@ -56,59 +24,58 @@ def _range_fft(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return y
 
 
-def range_doppler(cube: IFCube, window: str = "hann") -> RangeDopplerMap:
-    """Windowed 2-D FFT (fast-time then chirps), magnitude squared."""
+def range_doppler(samples: np.ndarray, window: str = "hann") -> np.ndarray:
+    """Windowed 2-D FFT (fast time, then chirps) of an IF cube
+    [n_fast, n_chirps]: the linear power map [range bin, Doppler bin]."""
     if window not in WINDOWS:
         raise ConfigurationError(f"unknown window: {window}")
-    x = cube.samples
-    w_slow = WINDOWS[window](x.shape[1])
-    y = _range_fft(x, WINDOWS[window](x.shape[0]))
+    w_slow = WINDOWS[window](samples.shape[1])
+    y = _range_fft(samples, WINDOWS[window](samples.shape[0]))
     y *= w_slow
     np.fft.fft(y, axis=1, out=y)
     y /= math.sqrt(np.sum(w_slow ** 2))
-    power = np.fft.fftshift(np.abs(y) ** 2, axes=1)
-
-    wf = cube.host
-    freq_bin = wf.adc_rate / x.shape[0]
-    range_bin_m = freq_bin * C0 / (2.0 * wf.slope)
-    doppler_bin_hz = 1.0 / (wf.pri * x.shape[1])
-    doppler_bin_mps = doppler_bin_hz * C0 / (2.0 * wf.carrier)
-    return RangeDopplerMap(power=power, range_bin_m=range_bin_m,
-                           doppler_bin_mps=doppler_bin_mps)
+    return np.fft.fftshift(np.abs(y) ** 2, axes=1)
 
 
-def range_chirp(cube: IFCube) -> np.ndarray:
+def zero_doppler_bin(power: np.ndarray) -> int:
+    """The Doppler bin of zero radial speed in a range-Doppler map."""
+    return power.shape[1] // 2
+
+
+def range_chirp(samples: np.ndarray) -> np.ndarray:
     """Power after the Hann-windowed range FFT only: [range bin, chirp]."""
-    return np.abs(_range_fft(cube.samples, np.hanning(cube.samples.shape[0]))) ** 2
+    return np.abs(_range_fft(samples, np.hanning(samples.shape[0]))) ** 2
 
 
-def noise_floor(rd: RangeDopplerMap, exclusion=None) -> float:
+def noise_floor(power: np.ndarray, exclusion=None) -> float:
     """Median map level in dB, robust to sparse target/interference peaks.
 
     exclusion: a (rows, columns) index pair, as target_exclusion_cells
     returns, of the cells to leave out.
     """
-    vals = rd.power
+    vals = power
     if exclusion is not None:
-        mask = np.ones(rd.power.shape, dtype=bool)
+        mask = np.ones(power.shape, dtype=bool)
         mask[exclusion] = False
-        vals = rd.power[mask]
+        vals = power[mask]
     if vals.size == 0:
         raise ConfigurationError("all cells excluded")
     return 10.0 * math.log10(np.median(vals))
 
 
-def target_exclusion_cells(rd: RangeDopplerMap, range_bin: int, doppler_bin: int,
+def target_exclusion_cells(power: np.ndarray, range_bin: int, doppler_bin: int,
                            halo: int = 4):
     """The +/-halo block around a cell: a row slice (truncated at the range
     edges) and a column index array (wrapped in Doppler)."""
-    rows = slice(max(0, range_bin - halo), min(rd.n_range_bins, range_bin + halo + 1))
-    cols = np.arange(doppler_bin - halo, doppler_bin + halo + 1) % rd.n_doppler_bins
+    n_range, n_doppler = power.shape
+    rows = slice(max(0, range_bin - halo), min(n_range, range_bin + halo + 1))
+    cols = np.arange(doppler_bin - halo, doppler_bin + halo + 1) % n_doppler
     return rows, cols
 
 
-def _cfar_hits(power: np.ndarray, guard: int, train: int, pfa: float):
-    """Cross-shaped cell-averaging CFAR: (hit mask, training mean) per cell.
+def detection_mask_ca_cfar(power: np.ndarray, guard: int = 2, train: int = 8,
+                           pfa: float = 1e-4) -> np.ndarray:
+    """Cross-shaped cell-averaging CFAR hit mask, before clustering.
 
     The training cells lie guard+1 .. guard+train cells away on either side,
     wrapped on the Doppler axis and truncated on the range axis, so their
@@ -129,61 +96,45 @@ def _cfar_hits(power: np.ndarray, guard: int, train: int, pfa: float):
     count = count[:, None]
     noise /= count
     alpha = count * (pfa ** (-1.0 / count) - 1.0)
-    return power > alpha * noise, noise
+    return power > alpha * noise
 
 
-def ca_cfar(rd: RangeDopplerMap, guard: int = 2, train: int = 8,
-            pfa: float = 1e-4):
+def ca_cfar(power: np.ndarray, guard: int = 2, train: int = 8,
+            pfa: float = 1e-4) -> np.ndarray:
     """2-D cross-shaped CA-CFAR, with 8-connected hit cells clustered to
-    their peak.
+    their peak: one (range bin, Doppler bin) row per cluster, in label order.
 
     A cluster's peak is its strongest cell; among equal powers, the first in
     row-major order.
     """
-    hits, noise = _cfar_hits(rd.power, guard, train, pfa)
+    hits = detection_mask_ca_cfar(power, guard, train, pfa)
     labels, _ = ndimage.label(hits, structure=np.ones((3, 3), dtype=int))
     idx = np.flatnonzero(labels)
     lab = labels.ravel()[idx]
-    order = np.lexsort((idx, -rd.power.ravel()[idx], lab))
+    order = np.lexsort((idx, -power.ravel()[idx], lab))
     lab = lab[order]
     peaks = idx[order[np.flatnonzero(np.diff(lab, prepend=0))]]
-    out = []
-    for rb, db in zip(*np.unravel_index(peaks, hits.shape)):
-        rb, db = int(rb), int(db)
-        snr = 10.0 * math.log10(rd.power[rb, db] / noise[rb, db])
-        out.append(Detection(
-            range_bin=rb, doppler_bin=db,
-            range=rb * rd.range_bin_m,
-            radial_speed=(db - rd.zero_doppler_bin) * rd.doppler_bin_mps,
-            snr_db=snr))
-    return out
+    return np.column_stack(np.unravel_index(peaks, power.shape))
 
 
-def detection_mask_ca_cfar(power: np.ndarray, guard: int = 2, train: int = 8,
-                           pfa: float = 1e-4) -> np.ndarray:
-    """Raw boolean CFAR hit mask (no clustering); used for Pfa calibration."""
-    return _cfar_hits(power, guard, train, pfa)[0]
-
-
-def target_detected(detections, range_bin: int, doppler_bin: int,
+def target_detected(detections: np.ndarray, range_bin: int, doppler_bin: int,
                     n_doppler_bins: int, gate: int = 2) -> bool:
-    """Association gate: a clustered detection within +/-gate bins (Doppler
-    wraps) counts as a successful detection of the reference target."""
-    for d in detections:
-        ddop = (d.doppler_bin - doppler_bin) % n_doppler_bins
-        ddop = min(ddop, n_doppler_bins - ddop)
-        if abs(d.range_bin - range_bin) <= gate and ddop <= gate:
-            return True
-    return False
+    """Association gate: a detection (a ca_cfar row) within +/-gate bins
+    (Doppler wraps) counts as a successful detection of the reference
+    target."""
+    ddop = (detections[:, 1] - doppler_bin) % n_doppler_bins
+    return bool(np.any((np.abs(detections[:, 0] - range_bin) <= gate)
+                       & (np.minimum(ddop, n_doppler_bins - ddop) <= gate)))
 
 
-def target_snr_db(rd: RangeDopplerMap, range_bin: int, doppler_bin: int,
+def target_snr_db(power: np.ndarray, range_bin: int, doppler_bin: int,
                   floor_db: float, gate: int = 2) -> float:
     """Peak power in the association gate over the given floor, in dB."""
+    n_range, n_doppler = power.shape
     r0 = max(0, range_bin - gate)
-    r1 = min(rd.n_range_bins, range_bin + gate + 1)
-    cols = [(doppler_bin + o) % rd.n_doppler_bins for o in range(-gate, gate + 1)]
-    peak = rd.power[r0:r1][:, cols].max()
+    r1 = min(n_range, range_bin + gate + 1)
+    cols = [(doppler_bin + o) % n_doppler for o in range(-gate, gate + 1)]
+    peak = power[r0:r1][:, cols].max()
     return 10.0 * math.log10(peak) - floor_db
 
 

@@ -62,6 +62,8 @@ def vehicle_rects(vehicles) -> np.ndarray:
 def segments_blocked(p, q, owner, host, rects) -> np.ndarray:
     """Which segments p[k] -> q[k] cross a vehicle rectangle other than
     rects[owner[k]] and rects[host]; touching at an endpoint does not count.
+    A segment whose two direction components are both under 1e-12 is tested
+    as its start point: blocked where p[k] lies strictly inside a rectangle.
 
     A bounding-box prefilter picks the (segment, rectangle) pairs that can
     meet, and only those go through the slab test.

@@ -39,7 +39,6 @@ class ThermalModel:
 class TargetEcho:
     power: float            # receive power [W]
     range_m: float
-    radial_speed: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -49,25 +48,6 @@ class Emitter:
     amplitude: float             # field amplitude sqrt(P_rx) at the host
     chirp_times: np.ndarray      # arrival times of its chirp starts [s]
     key: tuple = ()
-
-
-@dataclass
-class IFCube:
-    samples: np.ndarray          # complex128 [n_fast, n_chirps]
-    fast_time_step: float
-    host: WaveformConfig         # effective (drifted) host waveform
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.samples)):
-            raise ConfigurationError("non-finite IF samples")
-
-    @property
-    def n_fast(self):
-        return self.samples.shape[0]
-
-    @property
-    def n_chirps(self):
-        return self.samples.shape[1]
 
 
 def can_beat_in_band(host: WaveformConfig, intf):
@@ -193,12 +173,14 @@ def add_beats(cube: np.ndarray, host_wf: WaveformConfig, emitter: Emitter,
 def synthesize_dwell(host_wf: WaveformConfig, host_times: np.ndarray,
                      targets, emitters, noise: ThermalModel,
                      noise_rng: np.random.Generator,
-                     lpf_gating: bool = True) -> IFCube:
-    """Build the host IF cube for one dwell.
+                     lpf_gating: bool = True) -> np.ndarray:
+    """Build the host IF cube for one dwell: complex samples [n_fast,
+    n_chirps].
 
-    targets: iterable of TargetEcho; emitters: iterable of Emitter (one per
-    interferer radar and unblocked path).  Noise is drawn first from its own
-    stream, so cubes with identical noise seeds superpose exactly.
+    targets: iterable of TargetEcho, each at zero radial speed; emitters:
+    iterable of Emitter (one per interferer radar and unblocked path).  Noise
+    is drawn first from its own stream, so cubes with identical noise seeds
+    superpose exactly.
     """
     fs = host_wf.adc_rate
     n_fast = host_wf.n_fast
@@ -215,17 +197,16 @@ def synthesize_dwell(host_wf: WaveformConfig, host_times: np.ndarray,
         f_b = 2.0 * tgt.range_m * host_wf.slope / C0
         if lpf_gating and not (0.0 <= f_b <= fs):
             continue
-        f_d = 2.0 * tgt.radial_speed * host_wf.carrier / C0
-        amp = math.sqrt(tgt.power)
-        tone = amp * np.exp(2j * np.pi * f_b * t_fast)
-        phases = np.exp(2j * np.pi * f_d * (host_times - host_times[0]))
-        cube += np.outer(tone, phases)
+        tone = math.sqrt(tgt.power) * np.exp(2j * np.pi * f_b * t_fast)
+        cube += tone[:, None]
 
     for em in emitters:
         if em.amplitude > 0.0:
             ks, taus = interferer_arrivals(host_wf, host_times, em)
             add_beats(cube, host_wf, em, ks, taus, lpf_gating)
-    return IFCube(samples=cube, fast_time_step=1.0 / fs, host=host_wf)
+    if not np.all(np.isfinite(cube)):
+        raise ConfigurationError("non-finite IF samples")
+    return cube
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ def test_criterion_01_beat_model_oracle():
                      chirp_times=np.array([tau]))
         cube = synthesize_dwell(host, np.array([0.0]), [], [em], quiet,
                                 np.random.default_rng(0))
-        col = cube.samples[:, 0]
+        col = cube[:, 0]
         n_fast = len(col)
         peak = int(np.argmax(np.abs(np.fft.fft(col))))
         lo, hi = tau, n_fast / fs

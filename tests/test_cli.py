@@ -165,6 +165,11 @@ def test_exponent_without_dot_is_a_number(tmp_path):
      "jitter_bound 1000 us is longer than the 2 us"),
     ("plan: {technique: time_dithering, jitter_bound: -1e-6}\n",
      "jitter_bound must be >= 0"),
+    ("seed: -1\n", "seed must be >= 0"),
+    ("density: jam\n", "unknown density: jam"),
+    ("duration: 0.0\n", "duration must be > 0"),
+    ("target_range: -50\n", "target_range must be 0 (the host type's default) or >= 1 m"),
+    ("target_range: 1e-20\n", "target_range must be 0"),
 ], ids=["target_beyond_if_band", "unknown_window", "interferer_only_host",
         "unknown_topology", "unknown_host_type", "unknown_technique",
         "negative_n_dwells", "zero_workers", "negative_cfar_guard",
@@ -175,7 +180,8 @@ def test_exponent_without_dot_is_a_number(tmp_path):
         "tf_slot_without_sync_jitter", "tf_slot_of_topology_lrr",
         "tf_no_slots", "tf_zero_frame_rate", "tf_negative_sync_jitter",
         "dither_bound_too_large", "dither_bound_of_topology_lrr",
-        "dither_negative_bound"])
+        "dither_negative_bound", "negative_seed", "unknown_density",
+        "zero_duration", "negative_target_range", "target_at_the_radar"])
 def test_bad_config_fails_before_any_scene(tmp_path, capsys, monkeypatch, text, why):
     def no_scene(*args, **kwargs):
         raise AssertionError("a scene was built")
@@ -187,6 +193,41 @@ def test_bad_config_fails_before_any_scene(tmp_path, capsys, monkeypatch, text, 
     err = capsys.readouterr().err
     assert err.startswith("error:") and why in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, why", [
+    (["generate-scenario", "--seed", "-1", "--out", "scene.json"],
+     "seed must be >= 0"),
+    (["sweep", "--seed", "-1"], "seed must be >= 0"),
+    (["anechoic", "--seed", "-1"], "seed must be >= 0"),
+    (["dump-maps", "--seed", "-1"], "seed must be >= 0"),
+    (["anechoic", "--counts", "0,-5"], "counts must lie in [0, 30]"),
+    (["anechoic", "--counts", "5"], "--counts must include 0, the baseline"),
+    (["anechoic", "--counts", "0,five"], "bad --counts: '0,five'"),
+    (["anechoic", "--n-seeds", "0"], "n_seeds must be >= 1"),
+    (["anechoic", "--n-dwells", "0"], "n_dwells must be >= 1"),
+    (["anechoic", "--n-interferers", "-1"], "n_interferers must be >= 0"),
+    (["dump-maps", "--n-interferers", "-3"], "n_interferers must be >= 0"),
+    (["dump-maps", "--dwell-index", "-2"], "dwell_index must be >= 0"),
+], ids=["generate_scenario_negative_seed", "sweep_negative_seed",
+        "anechoic_negative_seed", "dump_maps_negative_seed",
+        "anechoic_negative_count", "anechoic_no_baseline",
+        "anechoic_non_numeric_count", "anechoic_no_seeds", "anechoic_no_dwells",
+        "anechoic_negative_interferers", "dump_maps_negative_interferers",
+        "dump_maps_negative_dwell"])
+def test_bad_argument_fails_before_any_dwell(tmp_path, capsys, monkeypatch,
+                                             argv, why):
+    def no_dwell(*args, **kwargs):
+        raise AssertionError("a scene or a chamber dwell was built")
+    monkeypatch.setattr("mirs.harness.build_scene", no_dwell)
+    monkeypatch.setattr("mirs.harness.chamber_cube", no_dwell)
+    monkeypatch.setenv("MIRS_OUTPUT_DIR", str(tmp_path / "out"))
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and why in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert os.listdir(tmp_path) == []
 
 
 def test_tf_coding_64x6_at_15hz_runs(tmp_path):

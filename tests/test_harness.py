@@ -7,6 +7,8 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mirs.errors import ConfigurationError
 from mirs.harness import (HOST_ORDER, HOST_TARGET_RANGE, PENETRATION_GRID,
@@ -55,6 +57,60 @@ def test_runconfig_validation():
         RunConfig(penetration_rates=(0.0, 1.5))
     with pytest.raises(ConfigurationError):
         RunConfig(n_seeds=0)
+
+
+def _or_bad(good):
+    """`good`, or a value that no numeric field takes."""
+    return st.one_of(good, st.sampled_from(["abc", math.nan, True]))
+
+
+# every field of a one-seed, one-dwell, low-density sweep, each optional and
+# drawn to cross its bounds (some also to be no number at all); only
+# workers=1 is valid, so no pool is started
+CONFIG_FIELDS = dict(
+    density=st.sampled_from(["low", "jam"]),
+    topology=st.sampled_from([t.value for t in Topology] + ["ring"]),
+    host_type=st.sampled_from([t.value for t in RadarType] + ["XYZ"]),
+    technique=st.sampled_from([t.value for t in Technique] + ["foo"]),
+    plan=st.fixed_dictionaries({}, optional=dict(
+        jitter_bound=st.floats(-1e-6, 5e-6),
+        n_bands=st.integers(-1, 64),
+        n_slots=st.integers(-1, 8),
+        sync_jitter=st.floats(-1e-4, 1e-3),
+        tf_frame_rate=st.floats(-1.0, 30.0))),
+    penetration_rates=st.lists(_or_bad(st.floats(-0.5, 1.5)), min_size=1,
+                               max_size=3),
+    n_seeds=_or_bad(st.integers(-2, 1)),
+    seed=_or_bad(st.integers(-3, 2 ** 40)),
+    duration=_or_bad(st.floats(-1.0, 12.0)),
+    n_dwells=_or_bad(st.sampled_from([-2, -1, 1])),
+    target_range=st.floats(-50.0, 500.0),
+    target_rcs_dbsm=st.floats(-40.0, 40.0),
+    noise_figure_db=st.floats(-20.0, 80.0),
+    window=st.sampled_from(["rect", "hann", "kaiser"]),
+    lpf_gating=st.booleans(),
+    cfar_guard=st.integers(-1, 4),
+    cfar_train=st.integers(2, 10),
+    cfar_pfa=_or_bad(st.floats(-0.1, 1.1)),
+    workers=st.integers(-1, 1),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.fixed_dictionaries({}, optional=CONFIG_FIELDS))
+@example({"technique": "time_frequency_coding", "seed": 5,
+          "plan": {"n_bands": 8, "n_slots": 6}, "penetration_rates": [0.0, 1.0]})
+@example({"host_type": "SBZA", "topology": "full", "technique": "time_dithering",
+          "target_range": 1.0, "duration": 0.05})
+def test_config_fails_at_construction_or_runs(d):
+    d = {"n_seeds": 1, "n_dwells": 1, **d}
+    try:
+        cfg = config_from_dict(d)
+    except ConfigurationError:
+        return
+    assert (cfg.density, cfg.n_seeds, cfg.n_dwells, cfg.workers) == ("low", 1, 1, 1)
+    results = run_sweep(cfg)
+    assert [r.penetration_rate for r in results] == list(cfg.penetration_rates)
 
 
 def test_config_from_dict_and_yaml(tmp_path):

@@ -9,12 +9,12 @@ from scipy import ndimage
 from scipy.constants import c as C0
 
 from mirs.errors import ConfigurationError
-from mirs.processing import (WINDOWS, Detection, RangeDopplerMap, ca_cfar,
-                             detection_mask_ca_cfar, horizontal_bands,
-                             noise_floor, range_chirp, range_doppler,
-                             target_detected, target_exclusion_cells,
-                             target_snr_db, vertical_stripes)
-from mirs.synthesis import IFCube, TargetEcho, ThermalModel, host_chirp_times, synthesize_dwell
+from mirs.processing import (WINDOWS, ca_cfar, detection_mask_ca_cfar,
+                             horizontal_bands, noise_floor, range_chirp,
+                             range_doppler, target_detected,
+                             target_exclusion_cells, target_snr_db,
+                             vertical_stripes, zero_doppler_bin)
+from mirs.synthesis import TargetEcho, ThermalModel, host_chirp_times, synthesize_dwell
 from mirs.waveform import WaveformConfig
 
 HOST = WaveformConfig(pri=27.4e-6, slope=26e12, chirp_duration=18.88e-6,
@@ -41,24 +41,17 @@ def tone_cube(range_bin=200, power=1e-9, seed=0):
 
 
 def test_tone_lands_in_expected_cell():
-    cube, r = tone_cube(range_bin=200, power=1e-9)
+    cube, _ = tone_cube(range_bin=200, power=1e-9)
     rd = range_doppler(cube, window="hann")
-    rb, db = np.unravel_index(np.argmax(rd.power), rd.power.shape)
+    rb, db = np.unravel_index(np.argmax(rd), rd.shape)
     assert rb == 200
-    assert db == rd.zero_doppler_bin
-    assert 200 * rd.range_bin_m == pytest.approx(r, rel=2e-3)
+    assert db == zero_doppler_bin(rd)
 
 
-def test_axis_scalings():
-    cube = noise_cube()
-    rd = range_doppler(cube)
-    assert rd.range_bin_m == pytest.approx(
-        (HOST.adc_rate / HOST.n_fast) * C0 / (2 * HOST.slope))
-    assert rd.doppler_bin_mps == pytest.approx(
-        (1.0 / (HOST.pri * 64)) * C0 / (2 * HOST.carrier))
-    assert rd.zero_doppler_bin == 32
-    assert rd.n_range_bins == HOST.n_fast
-    assert rd.n_doppler_bins == 64
+def test_map_shape_and_zero_doppler_bin():
+    rd = range_doppler(noise_cube())
+    assert rd.shape == (HOST.n_fast, 64)
+    assert zero_doppler_bin(rd) == 32
 
 
 def test_noise_floor_window_invariant():
@@ -87,28 +80,28 @@ def test_noise_floor_median_ln2_calibration():
 def test_floor_exclusion():
     cube, _ = tone_cube(range_bin=100, power=1e-6)
     rd = range_doppler(cube)
-    excl = target_exclusion_cells(rd, 100, rd.zero_doppler_bin, halo=4)
+    excl = target_exclusion_cells(rd, 100, zero_doppler_bin(rd), halo=4)
     # excluding the target halo keeps the median at the clean-noise level
     with_excl = noise_floor(rd, exclusion=excl)
     clean = noise_floor(range_doppler(noise_cube(seed=0)))
     assert abs(with_excl - clean) < 0.2
     with pytest.raises(ConfigurationError):
-        noise_floor(rd, exclusion=(slice(None), np.arange(rd.n_doppler_bins)))
+        noise_floor(rd, exclusion=(slice(None), np.arange(rd.shape[1])))
 
 
 def cell_list_floor(rd, range_bin, doppler_bin, halo=4):
     """Reference: the floor with the halo excluded cell by cell."""
-    mask = np.ones(rd.power.shape, dtype=bool)
-    for rb in range(max(0, range_bin - halo), min(rd.n_range_bins, range_bin + halo + 1)):
+    mask = np.ones(rd.shape, dtype=bool)
+    for rb in range(max(0, range_bin - halo), min(rd.shape[0], range_bin + halo + 1)):
         for db in range(doppler_bin - halo, doppler_bin + halo + 1):
-            mask[rb, db % rd.n_doppler_bins] = False
-    return 10.0 * math.log10(np.median(rd.power[mask]))
+            mask[rb, db % rd.shape[1]] = False
+    return 10.0 * math.log10(np.median(rd[mask]))
 
 
 @pytest.mark.parametrize("shape", [(472, 64), (37, 9), (11, 5)])
 def test_floor_exclusion_matches_cell_list_at_corners(shape):
     rng = np.random.default_rng(4)
-    rd = RangeDopplerMap(rng.exponential(1.0, shape), 0.3, 0.1)
+    rd = rng.exponential(1.0, shape)
     n_r, n_d = shape
     for rb in (0, 1, n_r // 2, n_r - 1):
         for db in (0, n_d // 2, n_d - 1):
@@ -117,14 +110,13 @@ def test_floor_exclusion_matches_cell_list_at_corners(shape):
 
 
 def test_cfar_detects_strong_tone():
-    cube, r = tone_cube(range_bin=200, power=1e-9)
+    cube, _ = tone_cube(range_bin=200, power=1e-9)
     rd = range_doppler(cube)
     dets = ca_cfar(rd)
-    assert any(abs(d.range_bin - 200) <= 1
-               and abs(d.doppler_bin - rd.zero_doppler_bin) <= 1
-               for d in dets)
-    assert target_detected(dets, 200, rd.zero_doppler_bin, rd.n_doppler_bins)
-    assert not target_detected(dets, 350, rd.zero_doppler_bin, rd.n_doppler_bins)
+    zero = zero_doppler_bin(rd)
+    assert any(abs(rb - 200) <= 1 and abs(db - zero) <= 1 for rb, db in dets)
+    assert target_detected(dets, 200, zero, rd.shape[1])
+    assert not target_detected(dets, 350, zero, rd.shape[1])
 
 
 def test_cfar_scale_invariance():
@@ -157,7 +149,7 @@ def test_cfar_validation():
         with pytest.raises(ConfigurationError):
             ca_cfar(rd, **kwargs)
         with pytest.raises(ConfigurationError):
-            detection_mask_ca_cfar(rd.power, **kwargs)
+            detection_mask_ca_cfar(rd, **kwargs)
 
 
 def cfar_oracle(power, guard, train, pfa):
@@ -195,16 +187,16 @@ def test_cfar_matches_per_cell_oracle(data):
     # exponential draws have no float ties, so each cluster's peak is unique
     labels, n = ndimage.label(hits, structure=np.ones((3, 3), dtype=int))
     want = ndimage.maximum_position(power, labels, range(1, n + 1)) if n else []
-    dets = ca_cfar(RangeDopplerMap(power, 0.3, 0.1), guard, train, pfa)
-    assert [(d.range_bin, d.doppler_bin) for d in dets] == [tuple(map(int, p)) for p in want]
+    dets = ca_cfar(power, guard, train, pfa)
+    assert dets.shape == (len(want), 2)
+    assert dets.tolist() == [list(map(int, p)) for p in want]
 
 
 def test_cfar_cluster_peak_tie_goes_to_first_cell():
     power = np.ones((40, 16))
     power[20, 5:9] = 1e4          # one cluster, a four-cell plateau
     power[30, 3] = power[31, 2] = 1e4
-    dets = ca_cfar(RangeDopplerMap(power, 0.3, 0.1))
-    assert [(d.range_bin, d.doppler_bin) for d in dets] == [(20, 5), (30, 3)]
+    assert ca_cfar(power).tolist() == [[20, 5], [30, 3]]
 
 
 def test_fixed_vs_cfar_under_uniform_floor_rise():
@@ -228,21 +220,48 @@ def test_fixed_vs_cfar_under_uniform_floor_rise():
 def test_target_snr_db():
     cube, _ = tone_cube(range_bin=200, power=1e-9)
     rd = range_doppler(cube)
-    excl = target_exclusion_cells(rd, 200, rd.zero_doppler_bin)
+    excl = target_exclusion_cells(rd, 200, zero_doppler_bin(rd))
     floor = noise_floor(rd, exclusion=excl)
-    snr = target_snr_db(rd, 200, rd.zero_doppler_bin, floor)
+    snr = target_snr_db(rd, 200, zero_doppler_bin(rd), floor)
     # coherent gain: tone power * n_fast * n_chirps over the per-cell floor,
     # with Hann windows costing about 4.3 dB total; just sanity-band it
     assert 20.0 < snr < 90.0
-    low = target_snr_db(rd, 350, rd.zero_doppler_bin, floor)
+    low = target_snr_db(rd, 350, zero_doppler_bin(rd), floor)
     assert low < snr - 10.0
 
 
 def test_doppler_gate_wraps():
-    d = Detection(range_bin=10, doppler_bin=63, range=0.0, radial_speed=0.0,
-                  snr_db=20.0)
-    assert target_detected([d], 10, 0, 64, gate=2)
-    assert not target_detected([d], 10, 8, 64, gate=2)
+    d = np.array([[10, 63]])
+    assert target_detected(d, 10, 0, 64, gate=2)
+    assert not target_detected(d, 10, 8, 64, gate=2)
+    # a map without hits has no detection to gate
+    none = ca_cfar(np.ones((40, 16)))
+    assert none.shape == (0, 2)
+    assert not target_detected(none, 10, 0, 16)
+
+
+def gate_loop(detections, range_bin, doppler_bin, n_doppler_bins, gate):
+    """Reference: the association gate, one detection at a time."""
+    for rb, db in detections.tolist():
+        ddop = (db - doppler_bin) % n_doppler_bins
+        if abs(rb - range_bin) <= gate and min(ddop, n_doppler_bins - ddop) <= gate:
+            return True
+    return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_target_detected_matches_loop(data):
+    n_doppler = data.draw(st.integers(1, 64), label="doppler bins")
+    cells = data.draw(st.lists(st.tuples(st.integers(0, 40),
+                                         st.integers(0, n_doppler - 1)),
+                               max_size=6), label="detections")
+    dets = np.array(cells, dtype=np.intp).reshape(-1, 2)
+    rb = data.draw(st.integers(0, 40), label="range bin")
+    db = data.draw(st.integers(0, n_doppler - 1), label="doppler bin")
+    gate = data.draw(st.integers(0, 4), label="gate")
+    assert target_detected(dets, rb, db, n_doppler, gate) == \
+        gate_loop(dets, rb, db, n_doppler, gate)
 
 
 def test_range_chirp_shape_and_stripes():
@@ -276,8 +295,7 @@ def two_pass_range_doppler(x, window):
 def test_range_doppler_bitwise_equals_two_pass(window, shape):
     rng = np.random.default_rng(11)
     x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    cube = IFCube(samples=x, fast_time_step=1.0 / HOST.adc_rate, host=HOST)
-    assert np.array_equal(range_doppler(cube, window).power,
+    assert np.array_equal(range_doppler(x, window),
                           two_pass_range_doppler(x, window))
 
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.constants import c as C0
 
@@ -155,8 +155,10 @@ coord = st.floats(-25.0, 25.0, allow_nan=False)
                                    st.integers(0, 5)),
                          min_size=1, max_size=4),
        host=st.integers(0, 5))
-def test_vehicle_rects_matches_sampling_oracle_property(centers, segments,
-                                                        host):
+@example(centers=[(0.0, 0.0), (0.0, -1.0)],
+         segments=[((0.0, 0.0), (0.0, -4.403423023554326e-91), 0)], host=0)
+def test_segments_blocked_matches_sampling_oracle_property(centers, segments,
+                                                           host):
     rects = [Rect(i, x, y, 2.0, 5.0) for i, (x, y) in enumerate(centers)]
     host %= len(rects)
     p = np.array([s[0] for s in segments], dtype=float)
@@ -170,6 +172,11 @@ def test_vehicle_rects_matches_sampling_oracle_property(centers, segments,
             return any(sampled_blocked(a, b, r, n=4000, margin=margin)
                        for r in live)
 
+        if abs(b[0] - a[0]) < 1e-12 and abs(b[1] - a[1]) < 1e-12:
+            # a point-like segment is its start point: blocked strictly
+            # inside a rectangle, not on its edge
+            assert got[k] == any(sampled_blocked(a, a, r, n=1) for r in live)
+            continue
         # dense sampling can miss razor-thin clips; tolerate only that side,
         # and only where a sample falls within one sample spacing of a
         # rectangle

@@ -10,7 +10,7 @@ from scipy.constants import c as C0
 from scipy.constants import k as K_B
 
 from mirs.errors import ConfigurationError
-from mirs.synthesis import (Emitter, IFCube, TargetEcho, ThermalModel,
+from mirs.synthesis import (Emitter, TargetEcho, ThermalModel,
                             add_beats, can_beat_in_band,
                             chirp_times_in_window, host_chirp_times,
                             interferer_arrivals, read_cube, synthesize_dwell,
@@ -94,7 +94,7 @@ def test_synthesized_beat_peak_matches_prediction():
                  chirp_times=np.array([host_times[0]]))
     cube = synthesize_dwell(HOST, host_times, [], [em], quiet_noise(),
                             np.random.default_rng(0))
-    spec = np.abs(np.fft.fft(cube.samples[:, 0])) ** 2
+    spec = np.abs(np.fft.fft(cube[:, 0])) ** 2
     peak = int(np.argmax(spec))
     tau = 0.0
     f_m = HOST.carrier - intf.carrier + intf.slope * tau
@@ -114,7 +114,7 @@ def test_target_tone_bin_and_power():
     cube = synthesize_dwell(HOST, host_times,
                             [TargetEcho(power=p, range_m=r)], [],
                             quiet_noise(), np.random.default_rng(1))
-    col = cube.samples[:, 0]
+    col = cube[:, 0]
     spec = np.abs(np.fft.fft(col)) ** 2 / len(col)
     peak = int(np.argmax(spec))
     assert peak == k
@@ -129,14 +129,14 @@ def test_noise_power_level():
     host_times = host_chirp_times(HOST, 0)
     cube = synthesize_dwell(HOST, host_times, [], [], noise,
                             np.random.default_rng(2))
-    measured = np.mean(np.abs(cube.samples) ** 2)
+    measured = np.mean(np.abs(cube) ** 2)
     assert measured == pytest.approx(want, rel=0.03)
     # real parts are drawn first, then imaginary parts, from the same stream
     rng = np.random.default_rng(2)
-    a = rng.standard_normal(cube.samples.shape)
-    b = rng.standard_normal(cube.samples.shape)
+    a = rng.standard_normal(cube.shape)
+    b = rng.standard_normal(cube.shape)
     scale = math.sqrt(noise.power(25e6) / 2.0)
-    assert np.array_equal(cube.samples, scale * (a + 1j * b))
+    assert np.array_equal(cube, scale * (a + 1j * b))
 
 
 def test_superposition_exact_under_shared_noise_seed():
@@ -157,12 +157,12 @@ def test_superposition_exact_under_shared_noise_seed():
                                 np.random.default_rng(4))
     only_intf = synthesize_dwell(HOST, host_times, [], [em], quiet_noise(),
                                  np.random.default_rng(4))
-    quiet = only_noise.samples * 0
+    quiet = only_noise * 0
     # subtract the tiny quiet-noise floor contributions exactly
     q = synthesize_dwell(HOST, host_times, [], [], quiet_noise(),
-                         np.random.default_rng(4)).samples
-    recon = (only_noise.samples + (only_tgt.samples - q) + (only_intf.samples - q))
-    assert np.allclose(both.samples, recon, rtol=0, atol=1e-18)
+                         np.random.default_rng(4))
+    recon = (only_noise + (only_tgt - q) + (only_intf - q))
+    assert np.allclose(both, recon, rtol=0, atol=1e-18)
     del quiet
 
 
@@ -178,8 +178,8 @@ def test_lpf_gating_only_removes_power():
                              np.random.default_rng(5), lpf_gating=True)
     ungated = synthesize_dwell(HOST, host_times, [], [em], quiet_noise(),
                                np.random.default_rng(5), lpf_gating=False)
-    pg = np.sum(np.abs(gated.samples) ** 2)
-    pu = np.sum(np.abs(ungated.samples) ** 2)
+    pg = np.sum(np.abs(gated) ** 2)
+    pu = np.sum(np.abs(ungated) ** 2)
     assert pg <= pu * (1 + 1e-12)
     assert pg < pu  # this geometry clips some samples
 
@@ -214,7 +214,7 @@ def test_amplitude_quadruples_power():
                              np.random.default_rng(6))
         q = synthesize_dwell(HOST, host_times, [], [], quiet_noise(),
                              np.random.default_rng(6))
-        p.append(np.sum(np.abs(c.samples - q.samples) ** 2))
+        p.append(np.sum(np.abs(c - q) ** 2))
     assert p[1] / p[0] == pytest.approx(4.0, rel=1e-9)
 
 
@@ -327,7 +327,10 @@ def test_cube_round_trip(tmp_path):
     assert "stage=test" in text and "n_chirps=8" in text
 
 
-def test_ifcube_rejects_nonfinite():
-    with pytest.raises(ConfigurationError):
-        IFCube(samples=np.array([[np.inf + 0j]]), fast_time_step=4e-8,
-               host=HOST)
+def test_synthesize_dwell_rejects_nonfinite():
+    host_times = host_chirp_times(HOST, 0)
+    with pytest.raises(ConfigurationError, match="non-finite IF samples"), \
+            np.errstate(invalid="ignore"):
+        synthesize_dwell(HOST, host_times,
+                         [TargetEcho(power=math.inf, range_m=120.0)], [],
+                         quiet_noise(), np.random.default_rng(0))
