@@ -28,7 +28,10 @@ def _config_from_args(args) -> RunConfig:
     over = {k: getattr(args, k) for k in OVERRIDE_FLAGS
             if getattr(args, k) is not None}
     if args.rates is not None:
-        over["penetration_rates"] = tuple(float(x) for x in args.rates.split(","))
+        try:
+            over["penetration_rates"] = tuple(map(float, args.rates.split(",")))
+        except ValueError:
+            raise ConfigurationError(f"bad --rates: {args.rates!r}")
     return harness.load_config(args.config, **over)
 
 

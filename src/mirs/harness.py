@@ -31,8 +31,7 @@ from .propagation import (PATH_KINDS, PathKind, echo_power, one_way_gain,
                           paths, vehicle_rects)
 from .scenario import (CAR_SIZE, CLOCK_DRIFT_PPM, RadarInstance, Scenario,
                        Topology, advance, assign_penetration, generate_highway,
-                       install_host_radar, install_radars, load_scenario,
-                       radar_layout)
+                       install_radars, load_scenario, radar_layout)
 from .synthesis import (Emitter, TargetEcho, ThermalModel, can_beat_in_band,
                         chirp_times_in_window, host_chirp_times,
                         synthesize_dwell, write_cube)
@@ -301,7 +300,14 @@ def load_config(path=None, **overrides) -> RunConfig:
                        r"[eE][-+]?[0-9]+$"),
             list("-+0123456789."))
         with open(path) as f:
-            doc = yaml.load(f, Loader) or {}
+            try:
+                doc = yaml.load(f, Loader) or {}
+            except yaml.YAMLError as e:
+                raise ConfigurationError(f"bad config file {path}: "
+                                         + " ".join(str(e).split()))
+        if not isinstance(doc, dict):
+            raise ConfigurationError(f"bad config file {path}: not a mapping "
+                                     "of keys to values")
     doc.update(overrides)
     return config_from_dict(doc)
 
@@ -319,13 +325,7 @@ def build_scene(cfg: RunConfig, seed_index: int) -> Scenario:
     scen = generate_highway(cfg.density, rng=rng, duration=cfg.duration,
                             target_rcs_dbsm=cfg.target_rcs_dbsm,
                             target_range=t_range)
-    out = []
-    for v in scen.vehicles:
-        if v.id == scen.host_vehicle_id:
-            out.append(install_host_radar(v, cfg.host_type, rng))
-        else:
-            out.append(install_radars(v, cfg.topology, rng))
-    return scen.with_vehicles(out)
+    return install_radars(scen, cfg.topology, cfg.host_type, rng)
 
 
 def prepare_scene(cfg: RunConfig, seed_index: int, rate: float,
@@ -374,55 +374,48 @@ def build_emitters(snap: Scenario, host_pos, host_bore, hr: RadarInstance,
                    seed_key) -> list:
     """One Emitter per interferer radar and unblocked, in-sector propagation
     path, in (vehicle, radar, path kind) order."""
-    vehicles = snap.vehicles
-    host = next(i for i, v in enumerate(vehicles)
-                if v.id == snap.host_vehicle_id)
-    radars = [(i, ri, v.center[0], v.center[1], v.heading, r.mount[0],
-               r.mount[1], r.boresight, r.fov_halfwidth, r.waveform.rx_gain,
-               r.clock.drift_ppm, r.waveform.carrier, r.waveform.slope,
-               r.waveform.chirp_duration)
-              for i, v in enumerate(vehicles) if i != host
-              for ri, r in enumerate(v.radars)]
-    if not radars:
+    v, r = snap.vehicles, snap.radars
+    rows = np.flatnonzero(r["vehicle"] != snap.host)
+    if not rows.size:
         return []
-    (vi, ri, cx, cy, heading, mx, my, bore, fov, gain, ppm, carrier, slope,
-     chirp) = np.array(radars, dtype=float).T
-    # Vehicle.radar_world_* and the clock-drift products of apply_clock_drift
-    c = np.cos(heading)
-    f = 1.0 + ppm * 1e-6
+    # the clock-drift products of apply_clock_drift
+    f = 1.0 + r["drift_ppm"][rows] * 1e-6
     table = np.rec.fromarrays(
-        (vi, ri, cx + c * mx, cy + c * my, heading + bore, fov, gain,
-         carrier * f, slope * f, chirp / f), dtype=RADAR_ROW)
+        (r["vehicle"][rows], rows, *snap.radar_poses(rows),
+         r["fov_halfwidth"][rows],
+         r["n_elements"][rows] * r["element_gain"][rows],
+         r["carrier"][rows] * f, r["slope"][rows] * f,
+         r["chirp_duration"][rows] / f), dtype=RADAR_ROW)
     tx = table[can_beat_in_band(host_wf, table)]
-    p = paths(tx, host_pos, host_bore, hr.fov_halfwidth, host,
-              vehicle_rects(vehicles), snap.geometry)
+    p = paths(tx, host_pos, host_bore, hr.fov_halfwidth, snap.host,
+              vehicle_rects(v), snap.geometry)
     gains = one_way_gain(p, tx, hr.waveform.rx_gain)
     live = p[~p.blocked]
     out = []
     last = -1
-    for row, vi, ri, kind, length, g in zip(
-            live.row.tolist(), tx.vehicle[live.row].tolist(),
+    for row, kind, length, g in zip(
             tx.radar[live.row].tolist(), live.kind.tolist(),
             live.length.tolist(), gains.tolist()):
         if g <= 0.0:
             continue
-        v, kind = vehicles[vi], PATH_KINDS[kind]
-        r = v.radars[ri]
-        g *= cross_pol_factor(r.polarization, hr.polarization,
-                              reflected=kind is not PathKind.DIRECT)
+        kind = PATH_KINDS[kind]
         delay = length / C0
         if row != last:       # the radar's first path sets its chirp window
             last = row
-            wf_i = r.drifted()
+            radar = snap.radar(row)
+            key = (int(v["id"][r["vehicle"][row]]), int(r["index"][row]))
+            wf_i = radar.drifted()
             times = chirp_times_in_window(
-                wf_i, t0 - delay, t1 - delay, tf_slot=r.tf_slot,
-                dither_bound=r.dither_bound,
-                dither_seed=tuple(seed_key) + (v.id, ri))
+                wf_i, t0 - delay, t1 - delay, tf_slot=radar.tf_slot,
+                dither_bound=radar.dither_bound,
+                dither_seed=tuple(seed_key) + key)
         if times.size == 0:
             continue
+        g *= cross_pol_factor(radar.polarization, hr.polarization,
+                              reflected=kind is not PathKind.DIRECT)
         out.append(Emitter(
             waveform=wf_i, amplitude=math.sqrt(wf_i.tx_power * g),
-            chirp_times=times + delay, key=(v.id, ri, kind.value)))
+            chirp_times=times + delay, key=key + (kind.value,)))
     return out
 
 
@@ -433,15 +426,16 @@ def simulate_dwell(cfg: RunConfig, scen: Scenario, seed_index: int,
 
     `reuse`, if given, holds the interference-free dwells of one
     (cfg, seed_index), keyed on all that such a dwell reads of its scene:
-    the dwell index, the advanced host vehicle with its radars, the host
-    radar index and the reference target.  A dwell whose emitter list is
+    the dwell index, the advanced host vehicle, its radar, the host radar
+    index and the reference target.  A dwell whose emitter list is
     empty returns the result stored under its key, or computes and stores it.
     """
     snap = advance(scen, dwell_index * frame_p)
-    host_v = snap.host
-    hr = snap.host_radar
-    host_pos = host_v.radar_world_position(hr)
-    host_bore = host_v.radar_world_boresight(hr)
+    host_v = snap.vehicle(snap.host)
+    row = snap.host_row
+    hr = snap.radar(row)
+    x, y, host_bore = (a.item() for a in snap.radar_poses(row))
+    host_pos = (x, y)
     host_wf = hr.drifted()
 
     host_times = host_chirp_times(
@@ -462,7 +456,7 @@ def simulate_dwell(cfg: RunConfig, scen: Scenario, seed_index: int,
                               (cfg.seed, seed_index))
     key = None
     if reuse is not None and not emitters:
-        key = (dwell_index, host_v, snap.host_radar_index, tgt)
+        key = (dwell_index, host_v, hr, snap.host_radar_index, tgt)
         if key in reuse:
             return reuse[key]
 
@@ -590,8 +584,13 @@ def report(csv_paths, out_path=None) -> str:
     acc = {}
     for path in csv_paths:
         for row in read_results_csv(path):
-            key = (row["technique"], float(row["penetration_rate"]))
-            acc.setdefault(key, []).append(float(row["pd"]))
+            try:
+                key = (row["technique"], float(row["penetration_rate"]))
+                pd = float(row["pd"])
+            except KeyError as e:
+                raise ConfigurationError(
+                    f"{path} is not a sweep CSV: it has no {e} column")
+            acc.setdefault(key, []).append(pd)
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(("technique", "penetration_rate", "mean_pd", "n_cells"))

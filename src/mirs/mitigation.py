@@ -1,20 +1,19 @@
 """Interference mitigation techniques applied as scenario transforms.
 
 All four transforms are pure scenario -> scenario functions that leave the
-geometry untouched; they only rewrite waveform/polarization/timing fields on
-the installed radars.
+geometry untouched; they only write waveform/polarization/timing columns of
+the radar table, as new arrays.
 """
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .scenario import Polarization, RadarInstance, Scenario
-from .waveform import WaveformConfig
+from .scenario import Polarization, Scenario
+from .waveform import check_waveform_rows
 
 BAND_LO_HZ = 77e9
 BAND_TOTAL_HZ = 4e9
@@ -48,83 +47,59 @@ class MitigationPlan:
                 "tf_frame_rate": self.tf_frame_rate}
 
 
-def mount_class(radar: RadarInstance) -> int:
-    """0 front-center, 1 rear-center, 2 front-corner, 3 rear-corner."""
-    mx, my = radar.mount
-    front = mx > 0
-    center = abs(my) < 1e-9
-    if center:
-        return 0 if front else 1
-    return 2 if front else 3
+def mount_class(radars: dict) -> np.ndarray:
+    """Per row of the radar table: 0 front-center, 1 rear-center,
+    2 front-corner, 3 rear-corner."""
+    front = radars["mount_x"] > 0
+    center = np.abs(radars["mount_y"]) < 1e-9
+    return np.where(center, np.where(front, 0, 1), np.where(front, 2, 3))
 
 
-def _fitted_waveforms(radars, band, width: float, rng: np.random.Generator,
-                      sync_jitter: float = 0.0):
-    """The waveforms of `radars`, each slope shrunk to fit its band
-    [lo, lo + width] (lo = BAND_LO_HZ + band * width) if needed and each
-    carrier redrawn so the sweep stays inside; plus the band edges and one
-    sync offset per radar.
+def _fit_in_bands(radars: dict, band, width: float, rng: np.random.Generator,
+                  sync_jitter: float = 0.0):
+    """`radars` with each slope shrunk to fit its band [lo, lo + width]
+    (lo = BAND_LO_HZ + band * width) if needed, each carrier redrawn so the
+    sweep stays inside and the band edges written; plus one sync offset per
+    radar.
 
-    All draws come from one `rng.uniform` call over the radars in order,
-    each carrier followed by its sync offset when `sync_jitter` > 0: the
-    same values as one scalar call per draw."""
-    cd = np.array([r.waveform.chirp_duration for r in radars])
-    slope = np.array([r.waveform.slope for r in radars])
+    All draws come from one `rng.uniform` call over the rows in order, each
+    carrier followed by its sync offset when `sync_jitter` > 0: the same
+    values as one scalar call per draw."""
+    cd = radars["chirp_duration"]
+    slope = radars["slope"]
     lo = BAND_LO_HZ + np.asarray(band) * width
     sweep = slope * cd
     slope = np.where(sweep > width, width / cd, slope)
     high = lo + width - np.minimum(sweep, width)
+    n = len(cd)
     if sync_jitter > 0:
-        n = len(radars)
-        draws = rng.uniform(np.column_stack([lo, np.full(n, -sync_jitter)]),
-                            np.column_stack([high, np.full(n, sync_jitter)]))
-        carrier, sync = draws.T.tolist()
+        carrier, sync = rng.uniform(
+            np.column_stack([lo, np.full(n, -sync_jitter)]),
+            np.column_stack([high, np.full(n, sync_jitter)])).T
     else:
-        carrier = rng.uniform(lo, high).tolist()
-        sync = [0.0] * len(radars)
-    wfs = [WaveformConfig(
-        pri=wf.pri, slope=k, chirp_duration=wf.chirp_duration, carrier=f,
-        n_chirps=wf.n_chirps, fps=wf.fps, n_elements=wf.n_elements,
-        tx_power=wf.tx_power, element_gain=wf.element_gain,
-        adc_rate=wf.adc_rate, start_offset=wf.start_offset)
-        for wf, k, f in zip((r.waveform for r in radars), slope.tolist(), carrier)]
-    return wfs, lo.tolist(), sync
-
-
-def _radar(r: RadarInstance, **changes) -> RadarInstance:
-    """`r` with `changes`, built by the constructor: this runs per radar of
-    a scene, where dataclasses.replace costs about half as much again."""
-    return RadarInstance(**(vars(r) | changes))
-
-
-def _with_radars(scenario: Scenario, radars) -> Scenario:
-    """`scenario` with its radars, in (vehicle, radar) order, replaced."""
-    it = iter(radars)
-    return scenario.with_vehicles(
-        v.with_radars([next(it) for _ in v.radars]) for v in scenario.vehicles)
+        carrier, sync = rng.uniform(lo, high), np.zeros(n)
+    out = {**radars, "slope": slope, "carrier": carrier, "band_lo": lo,
+           "band_hi": lo + width}
+    check_waveform_rows(out)
+    return out, sync
 
 
 def apply_predefined_frequency(scenario: Scenario,
                                rng: np.random.Generator) -> Scenario:
     """Allocate one of four 1 GHz sub-bands per mount class and re-draw each
     carrier so the sweep stays inside its band."""
-    width = BAND_TOTAL_HZ / 4.0
-    radars = [r for v in scenario.vehicles for r in v.radars]
-    wfs, lo, _ = _fitted_waveforms(radars, [mount_class(r) for r in radars],
-                                   width, rng)
-    return _with_radars(scenario, (
-        _radar(r, waveform=wf, band_assignment=(f, f + width))
-        for r, wf, f in zip(radars, wfs, lo)))
+    radars, _ = _fit_in_bands(scenario.radars, mount_class(scenario.radars),
+                              BAND_TOTAL_HZ / 4.0, rng)
+    return replace(scenario, radars=radars)
 
 
 def apply_predefined_polarization(scenario: Scenario) -> Scenario:
     """Vertical polarization for the forward direction, horizontal for the
     oncoming direction."""
-    out = []
-    for v in scenario.vehicles:
-        pol = Polarization.V if math.cos(v.heading) > 0 else Polarization.H
-        out.append(v.with_radars(_radar(r, polarization=pol) for r in v.radars))
-    return scenario.with_vehicles(out)
+    r = scenario.radars
+    forward = np.cos(scenario.vehicles["heading"])[r["vehicle"]] > 0
+    return replace(scenario, radars={**r, "polarization": np.where(
+        forward, Polarization.V.value, Polarization.H.value)})
 
 
 def cross_pol_factor(tx_pol: Polarization, rx_pol: Polarization,
@@ -138,13 +113,11 @@ def cross_pol_factor(tx_pol: Polarization, rx_pol: Polarization,
 
 def apply_time_dithering(scenario: Scenario, jitter_bound: float = 2e-6) -> Scenario:
     """Arm per-chirp uniform start jitter on every radar (host included)."""
-    for v in scenario.vehicles:
-        for r in v.radars:
-            if jitter_bound + r.waveform.chirp_duration > r.waveform.pri:
-                raise ConfigurationError("jitter bound breaks chirp timing")
-    return scenario.with_vehicles(
-        v.with_radars(_radar(r, dither_bound=jitter_bound) for r in v.radars)
-        for v in scenario.vehicles)
+    r = scenario.radars
+    if np.any(jitter_bound + r["chirp_duration"] > r["pri"]):
+        raise ConfigurationError("jitter bound breaks chirp timing")
+    return replace(scenario, radars={
+        **r, "dither_bound": np.full(r["pri"].size, jitter_bound, dtype=float)})
 
 
 def apply_time_frequency_coding(scenario: Scenario, n_bands: int = 4,
@@ -163,18 +136,20 @@ def apply_time_frequency_coding(scenario: Scenario, n_bands: int = 4,
     slot_len = frame_p / n_slots
     width = BAND_TOTAL_HZ / n_bands
 
-    radars = [r for v in scenario.vehicles for r in v.radars]
-    if any(r.waveform.dwell_duration > slot_len for r in radars):
+    r = scenario.radars
+    if np.any(r["n_chirps"] * r["pri"] > slot_len):
         raise ConfigurationError("dwell does not fit the time slot")
-    keys = [(v.id, i) for v in scenario.vehicles for i in range(len(v.radars))]
-    rank = {k: j for j, k in enumerate(sorted(keys))}
-    cells = [rank[k] % (n_bands * n_slots) for k in keys]
-    bands = [c % n_bands for c in cells]
-    wfs, lo, sync = _fitted_waveforms(radars, bands, width, rng, sync_jitter)
-    return _with_radars(scenario, (
-        _radar(r, waveform=wf, band_assignment=(f, f + width),
-               tf_slot=(b, c // n_bands, n_slots, frame_p, dt))
-        for r, wf, f, b, c, dt in zip(radars, wfs, lo, bands, cells, sync)))
+    n = r["pri"].size
+    rank = np.empty(n, dtype=int)
+    rank[np.lexsort((r["index"], scenario.vehicles["id"][r["vehicle"]]))] = \
+        np.arange(n)
+    cells = rank % (n_bands * n_slots)
+    bands = cells % n_bands
+    radars, sync = _fit_in_bands(r, bands, width, rng, sync_jitter)
+    return replace(scenario, radars={
+        **radars, "tf_band": bands, "tf_slot": cells // n_bands,
+        "tf_n_slots": np.full(n, n_slots), "tf_frame": np.full(n, frame_p),
+        "tf_sync": sync})
 
 
 def apply_technique(scenario: Scenario, plan: MitigationPlan,

@@ -52,11 +52,12 @@ def fresnel_reflection(theta: float, material: MaterialModel = MaterialModel()) 
     return (n2 * math.cos(theta) - root) / (n2 * math.cos(theta) + root)
 
 
-def vehicle_rects(vehicles) -> np.ndarray:
-    """Footprint rectangles (xmin, xmax, ymin, ymax), one row per vehicle."""
-    ext = [(v.center, v.half_extents) for v in vehicles]
-    return np.array([(x - hx, x + hx, y - hy, y + hy)
-                     for (x, y), (hx, hy) in ext], dtype=float).reshape(-1, 4)
+def vehicle_rects(vehicles: dict) -> np.ndarray:
+    """Footprint rectangles (xmin, xmax, ymin, ymax), one row per row of the
+    vehicle table; length runs along x whatever the heading (0 or pi)."""
+    x, y = vehicles["x"], vehicles["y"]
+    hx, hy = vehicles["length"] / 2.0, vehicles["width"] / 2.0
+    return np.column_stack((x - hx, x + hx, y - hy, y + hy))
 
 
 def segments_blocked(p, q, owner, host, rects) -> np.ndarray:

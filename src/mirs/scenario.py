@@ -11,14 +11,15 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import asdict, dataclass, replace
+from typing import NamedTuple, Optional, get_type_hints
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .waveform import (ClockModel, RadarType, WaveformConfig, apply_clock_drift,
-                       draw_uniform, sample_waveform)
+from .waveform import (WAVEFORM_FIELDS, ClockModel, RadarType, WaveformConfig,
+                       apply_clock_drift, check_waveform_rows, draw_uniform,
+                       draw_waveform)
 
 CAR_SIZE = (2.0, 5.0)     # width, length [m]
 TRUCK_SIZE = (2.6, 13.0)
@@ -80,6 +81,8 @@ class RoadGeometry:
 
 @dataclass(frozen=True)
 class RadarInstance:
+    """One radar as a record, built from a row of a scene's radar table
+    where a consumer needs one (Scenario.radar)."""
     mount: tuple          # (x, y) in the vehicle frame, on the footprint perimeter
     boresight: float      # relative to vehicle heading [rad]
     fov_halfwidth: float
@@ -95,38 +98,41 @@ class RadarInstance:
         return apply_clock_drift(self.waveform, self.clock)
 
 
-@dataclass(frozen=True)
-class Vehicle:
+class Vehicle(NamedTuple):
+    """One row of a scene's vehicle table."""
     id: int
     kind: str             # "car" | "truck"
-    center: tuple         # (x, y) [m]
+    x: float              # center [m]
+    y: float
     heading: float        # 0 or pi
     speed: float          # [m/s], along heading
     width: float
-    length: float
+    length: float         # along x whatever the heading
     lane: int
-    radars: tuple = ()
 
-    @property
-    def half_extents(self):
-        # Axis-aligned: length along x regardless of heading (0 or pi).
-        return (self.length / 2.0, self.width / 2.0)
 
-    def with_radars(self, radars) -> "Vehicle":
-        # the constructor, not dataclasses.replace: this runs per vehicle
-        # and per scene transform, and replace costs about twice as much
-        return Vehicle(id=self.id, kind=self.kind, center=self.center,
-                       heading=self.heading, speed=self.speed, width=self.width,
-                       length=self.length, lane=self.lane, radars=tuple(radars))
+# Column dtypes of the two scene tables, in row-tuple order.  A radar row
+# holds its vehicle's row, its index among that vehicle's radars, its record
+# fields, and RadarInstance.tf_slot's five fields (tf_n_slots 0: no slot).
+VEHICLE_COLUMNS = get_type_hints(Vehicle)
+RADAR_COLUMNS = dict(
+    vehicle=int, index=int, mount_x=float, mount_y=float, boresight=float,
+    fov_halfwidth=float, radar_type="U4",
+    **{k: int if k in ("n_chirps", "n_elements") else float
+       for k in WAVEFORM_FIELDS},
+    drift_ppm=float, polarization="U1", band_lo=float, band_hi=float,
+    tf_band=int, tf_slot=int, tf_n_slots=int, tf_frame=float, tf_sync=float,
+    dither_bound=float)
+# the technique columns of a radar no technique has touched (NaN band edges:
+# no band assignment)
+UNASSIGNED = (Polarization.V.value, math.nan, math.nan, 0, 0, 0, 0.0, 0.0, 0.0)
 
-    def radar_world_position(self, radar: RadarInstance) -> tuple:
-        c = math.cos(self.heading)
-        mx, my = radar.mount
-        # heading is 0 or pi, so rotation is a sign flip on both axes
-        return (self.center[0] + c * mx, self.center[1] + c * my)
 
-    def radar_world_boresight(self, radar: RadarInstance) -> float:
-        return self.heading + radar.boresight
+def _table(columns: dict, rows) -> dict:
+    """One array per column of `rows`, tuples in `columns` order."""
+    values = list(zip(*rows)) or [()] * len(columns)
+    return {k: np.array(v, dtype=t)
+            for (k, t), v in zip(columns.items(), values)}
 
 
 @dataclass(frozen=True)
@@ -136,26 +142,65 @@ class ReferenceTarget:
     host_relative: bool = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
+    """A highway scene as a vehicle table and a radar table: dicts of
+    equal-length column arrays (VEHICLE_COLUMNS, RADAR_COLUMNS).  Radar rows
+    run in (vehicle row, index) order.  A transform returns a new scene that
+    shares every column it does not write; no column is written in place."""
     geometry: RoadGeometry
-    vehicles: tuple
-    host_vehicle_id: int
+    vehicles: dict
+    radars: dict
+    host: int                 # the host vehicle's row
     host_radar_index: int
     reference_target: ReferenceTarget
     duration: float = 10.0
     density_label: str = "low"
 
     @property
-    def host(self) -> Vehicle:
-        return next(v for v in self.vehicles if v.id == self.host_vehicle_id)
+    def host_vehicle_id(self) -> int:
+        return int(self.vehicles["id"][self.host])
+
+    @property
+    def host_row(self) -> int:
+        """The host radar's row of the radar table."""
+        on_host = np.flatnonzero(self.radars["vehicle"] == self.host)
+        return int(on_host[self.host_radar_index])
 
     @property
     def host_radar(self) -> RadarInstance:
-        return self.host.radars[self.host_radar_index]
+        return self.radar(self.host_row)
 
-    def with_vehicles(self, vehicles) -> "Scenario":
-        return replace(self, vehicles=tuple(vehicles))
+    def radar_poses(self, rows):
+        """World x, y and boresight of the radars in `rows` of the radar
+        table: the mount rotated by the vehicle heading (0 or pi, so a sign
+        flip on both axes) and moved to the vehicle center."""
+        r, v = self.radars, self.vehicles
+        vi = r["vehicle"][rows]
+        heading = v["heading"][vi]
+        c = np.cos(heading)
+        return (v["x"][vi] + c * r["mount_x"][rows],
+                v["y"][vi] + c * r["mount_y"][rows],
+                heading + r["boresight"][rows])
+
+    def vehicle(self, i: int) -> Vehicle:
+        return Vehicle(*(c[i].item() for c in self.vehicles.values()))
+
+    def radar(self, i: int) -> RadarInstance:
+        r = {k: c[i].item() for k, c in self.radars.items()}
+        band = (r["band_lo"], r["band_hi"])
+        tf = tuple(r[k] for k in ("tf_band", "tf_slot", "tf_n_slots",
+                                  "tf_frame", "tf_sync"))
+        return RadarInstance(
+            mount=(r["mount_x"], r["mount_y"]), boresight=r["boresight"],
+            fov_halfwidth=r["fov_halfwidth"],
+            radar_type=RadarType(r["radar_type"]),
+            waveform=WaveformConfig(*(r[k] for k in WAVEFORM_FIELDS)),
+            clock=ClockModel(drift_ppm=r["drift_ppm"]),
+            polarization=Polarization(r["polarization"]),
+            band_assignment=None if math.isnan(band[0]) else band,
+            tf_slot=tf if r["tf_n_slots"] else None,
+            dither_bound=r["dither_bound"])
 
 
 def _vehicle_dims(kind: str):
@@ -178,8 +223,9 @@ def generate_highway(density_label: str, geometry: RoadGeometry = RoadGeometry()
                      target_range: float = 100.0) -> Scenario:
     """Drop vehicles lane by lane with exponential inter-vehicle gaps.
 
-    The host is a car placed mid-road in the forward center lane; a corridor
-    ahead of it in its own lane is kept clear for the reference target.
+    The host is a car placed mid-road in the forward center lane (row 0); a
+    corridor ahead of it in its own lane is kept clear for the reference
+    target.  No vehicle carries a radar yet.
     """
     if density_label not in DENSITY_TARGETS:
         raise ConfigurationError(f"unknown density label: {density_label}")
@@ -195,7 +241,7 @@ def generate_highway(density_label: str, geometry: RoadGeometry = RoadGeometry()
 
     host_lane = 1
     host_x = geometry.road_length / 2.0
-    host = Vehicle(id=0, kind="car", center=(host_x, geometry.lane_center(host_lane)),
+    host = Vehicle(id=0, kind="car", x=host_x, y=geometry.lane_center(host_lane),
                    heading=0.0, speed=lane_speeds[host_lane],
                    width=CAR_SIZE[0], length=CAR_SIZE[1], lane=host_lane)
     span = max(TARGET_CORRIDOR, target_range + 20.0)
@@ -221,7 +267,7 @@ def generate_highway(density_label: str, geometry: RoadGeometry = RoadGeometry()
                     ok = False
             if ok:
                 vehicles.append(Vehicle(
-                    id=next_id, kind=kind, center=(cx, geometry.lane_center(lane)),
+                    id=next_id, kind=kind, x=cx, y=geometry.lane_center(lane),
                     heading=geometry.lane_heading(lane), speed=lane_speeds[lane],
                     width=width, length=length, lane=lane))
                 placed.append((cx, length / 2.0))
@@ -233,24 +279,23 @@ def generate_highway(density_label: str, geometry: RoadGeometry = RoadGeometry()
 
     target = ReferenceTarget(position=(target_range, 0.0),
                              rcs=10 ** (target_rcs_dbsm / 10.0), host_relative=True)
-    return Scenario(geometry=geometry, vehicles=tuple(vehicles),
-                    host_vehicle_id=0, host_radar_index=0,
-                    reference_target=target, duration=duration,
-                    density_label=density_label)
+    return Scenario(geometry=geometry, vehicles=_table(VEHICLE_COLUMNS, vehicles),
+                    radars=_table(RADAR_COLUMNS, ()), host=0,
+                    host_radar_index=0, reference_target=target,
+                    duration=duration, density_label=density_label)
 
 
 def _trim_or_pad(vehicles, target_count, host, corridor, geometry,
                  lane_speeds, truck_fraction, rng):
-    host_x = host.center[0]
+    host_x = host.x
     if len(vehicles) > target_count:
         others = [v for v in vehicles if v.id != host.id]
-        others.sort(key=lambda v: abs(v.center[0] - host_x))
+        others.sort(key=lambda v: abs(v.x - host_x))
         keep = others[:target_count - 1]
         return [host] + sorted(keep, key=lambda v: v.id)
 
     next_id = max(v.id for v in vehicles) + 1
-    by_lane = {lane: [(v.center[0], v.length / 2.0)
-                      for v in vehicles if v.lane == lane]
+    by_lane = {lane: [(v.x, v.length / 2.0) for v in vehicles if v.lane == lane]
                for lane in range(geometry.n_lanes)}
     tries = 0
     while len(vehicles) < target_count and tries < 20000:
@@ -264,8 +309,8 @@ def _trim_or_pad(vehicles, target_count, host, corridor, geometry,
             continue
         if _overlaps(cx, length / 2.0, by_lane[lane]):
             continue
-        vehicles.append(Vehicle(id=next_id, kind=kind,
-                                center=(cx, geometry.lane_center(lane)),
+        vehicles.append(Vehicle(id=next_id, kind=kind, x=cx,
+                                y=geometry.lane_center(lane),
                                 heading=geometry.lane_heading(lane),
                                 speed=lane_speeds[lane], width=width,
                                 length=length, lane=lane))
@@ -274,15 +319,6 @@ def _trim_or_pad(vehicles, target_count, host, corridor, geometry,
     if len(vehicles) != target_count:
         raise ConfigurationError("could not pad scene to the exact vehicle count")
     return vehicles
-
-
-def _make_radar(radar_type, mount, boresight, rng) -> RadarInstance:
-    wf = sample_waveform(radar_type, rng)
-    clock = ClockModel(
-        drift_ppm=draw_uniform(rng, -CLOCK_DRIFT_PPM, CLOCK_DRIFT_PPM))
-    return RadarInstance(mount=mount, boresight=boresight,
-                         fov_halfwidth=FOV_HALFWIDTH[radar_type],
-                         radar_type=radar_type, waveform=wf, clock=clock)
 
 
 def radar_layout(topology: Topology, width: float, length: float):
@@ -306,78 +342,73 @@ def radar_layout(topology: Topology, width: float, length: float):
     raise ConfigurationError(f"unknown topology: {topology!r}")
 
 
-def install_radars(vehicle: Vehicle, topology: Topology,
-                   rng: np.random.Generator) -> Vehicle:
-    """Install the topology's radar set with independent waveform/clock draws."""
-    if vehicle.radars:
-        raise ConfigurationError("vehicle already carries radars")
-    return vehicle.with_radars(
-        _make_radar(t, m, b, rng)
-        for t, m, b in radar_layout(topology, vehicle.width, vehicle.length))
+# host radar mount, as multiples of (half length, half width), and boresight
+HOST_MOUNTS = {RadarType.LRR: ((1, 0), 0.0), RadarType.SRR: ((1, 0), 0.0),
+               RadarType.SBZA: ((-1, 1), math.pi - math.pi / 4.0)}
 
 
-HOST_MOUNTS = {
-    RadarType.LRR: ("front_center", 0.0),
-    RadarType.SRR: ("front_center", 0.0),
-    RadarType.SBZA: ("rear_left", math.pi - math.pi / 4.0),
-}
-
-
-def install_host_radar(vehicle: Vehicle, radar_type: RadarType,
-                       rng: np.random.Generator) -> Vehicle:
-    """Give the host vehicle its single radar-under-test."""
-    if radar_type not in HOST_MOUNTS:
-        raise ConfigurationError(f"{radar_type} cannot be a host radar type")
-    hl, hw = vehicle.length / 2.0, vehicle.width / 2.0
-    place, boresight = HOST_MOUNTS[radar_type]
-    mount = (hl, 0.0) if place == "front_center" else (-hl, hw)
-    radar = _make_radar(radar_type, mount, boresight, rng)
-    return vehicle.with_radars(vehicle.radars + (radar,))
+def install_radars(scenario: Scenario, topology: Topology,
+                   host_type: RadarType, rng: np.random.Generator) -> Scenario:
+    """Give the host vehicle its single radar-under-test and every other
+    vehicle the topology's radar set, vehicle by vehicle, each radar with
+    its own waveform draws and then its clock-drift draw."""
+    if host_type not in HOST_MOUNTS:
+        raise ConfigurationError(f"{host_type} cannot be a host radar type")
+    if scenario.radars["vehicle"].size:
+        raise ConfigurationError("scene already carries radars")
+    v = scenario.vehicles
+    rows = []
+    for i, (width, length) in enumerate(zip(v["width"].tolist(),
+                                            v["length"].tolist())):
+        if i == scenario.host:
+            (sx, sy), bore = HOST_MOUNTS[host_type]
+            layout = [(host_type, (sx * length / 2.0, sy * width / 2.0), bore)]
+        else:
+            layout = radar_layout(topology, width, length)
+        for j, (t, (mx, my), bore) in enumerate(layout):
+            rows.append((i, j, mx, my, bore, FOV_HALFWIDTH[t], t.value,
+                         *draw_waveform(t, rng),
+                         draw_uniform(rng, -CLOCK_DRIFT_PPM, CLOCK_DRIFT_PPM),
+                         *UNASSIGNED))
+    radars = _table(RADAR_COLUMNS, rows)
+    check_waveform_rows(radars)
+    return replace(scenario, radars=radars)
 
 
 def assign_penetration(scenario: Scenario, rate: float,
                        rng: np.random.Generator) -> Scenario:
-    """Keep each non-host vehicle's radars with probability `rate`."""
+    """Keep each non-host vehicle's radars with probability `rate`: one draw
+    per non-host vehicle in row order, as a scalar draw per vehicle would
+    take them."""
     if not 0.0 <= rate <= 1.0:
         raise ConfigurationError("penetration rate must be in [0, 1]")
-    host = scenario.host_vehicle_id
-    # one draw per non-host vehicle in list order, as a scalar draw per
-    # vehicle would take them
-    u = iter(rng.random(sum(v.id != host for v in scenario.vehicles)).tolist())
-    return scenario.with_vehicles(
-        v if v.id == host or next(u) < rate else v.with_radars(())
-        for v in scenario.vehicles)
+    keep = np.arange(scenario.vehicles["id"].size) == scenario.host
+    others = ~keep
+    keep[others] = rng.random(np.count_nonzero(others)) < rate
+    rows = keep[scenario.radars["vehicle"]]
+    return replace(scenario,
+                   radars={k: c[rows] for k, c in scenario.radars.items()})
 
 
 def advance(scenario: Scenario, t: float) -> Scenario:
     """Translate every vehicle by speed*t along its heading, wrapping in x."""
     if not 0.0 <= t <= scenario.duration + 1e-9:
         raise ConfigurationError("time outside the simulated horizon")
-    L = scenario.geometry.road_length
-    out = []
-    for v in scenario.vehicles:
-        dx = v.speed * t * math.cos(v.heading)
-        out.append(Vehicle(id=v.id, kind=v.kind,
-                           center=((v.center[0] + dx) % L, v.center[1]),
-                           heading=v.heading, speed=v.speed, width=v.width,
-                           length=v.length, lane=v.lane, radars=v.radars))
-    return scenario.with_vehicles(out)
+    v = scenario.vehicles
+    x = v["x"] + v["speed"] * t * np.cos(v["heading"])
+    return replace(scenario, vehicles={
+        **v, "x": x % scenario.geometry.road_length})
 
 
 # ---------------------------------------------------------------------------
 # serialization (bit-exact replay: every drawn quantity is stored)
 
-def _wf_dict(wf: WaveformConfig):
-    return {k: getattr(wf, k) for k in (
-        "pri", "slope", "chirp_duration", "carrier", "n_chirps", "fps",
-        "n_elements", "tx_power", "element_gain", "adc_rate", "start_offset")}
-
-
 def _radar_dict(r: RadarInstance):
     return {
         "mount": list(r.mount), "boresight": r.boresight,
         "fov_halfwidth": r.fov_halfwidth, "radar_type": r.radar_type.value,
-        "waveform": _wf_dict(r.waveform), "drift_ppm": r.clock.drift_ppm,
+        "waveform": {k: getattr(r.waveform, k) for k in WAVEFORM_FIELDS},
+        "drift_ppm": r.clock.drift_ppm,
         "polarization": r.polarization.value,
         "band_assignment": list(r.band_assignment) if r.band_assignment else None,
         "tf_slot": list(r.tf_slot) if r.tf_slot else None,
@@ -385,56 +416,51 @@ def _radar_dict(r: RadarInstance):
     }
 
 
-def _radar_from_dict(d) -> RadarInstance:
-    return RadarInstance(
-        mount=tuple(d["mount"]), boresight=d["boresight"],
-        fov_halfwidth=d["fov_halfwidth"], radar_type=RadarType(d["radar_type"]),
-        waveform=WaveformConfig(**d["waveform"]),
-        clock=ClockModel(drift_ppm=d["drift_ppm"]),
-        polarization=Polarization(d["polarization"]),
-        band_assignment=tuple(d["band_assignment"]) if d["band_assignment"] else None,
-        tf_slot=tuple(d["tf_slot"]) if d["tf_slot"] else None,
-        dither_bound=d["dither_bound"],
-    )
+def _radar_row(i: int, j: int, d) -> tuple:
+    """The radar table row of radar `j` of vehicle row `i`, from its dict."""
+    return (i, j, *d["mount"], d["boresight"], d["fov_halfwidth"],
+            RadarType(d["radar_type"]).value,
+            *(d["waveform"][k] for k in WAVEFORM_FIELDS), d["drift_ppm"],
+            Polarization(d["polarization"]).value,
+            *(d["band_assignment"] or UNASSIGNED[1:3]),
+            *(d["tf_slot"] or UNASSIGNED[3:8]), d["dither_bound"])
 
 
 def scenario_to_dict(s: Scenario) -> dict:
+    radars = [[] for _ in range(s.vehicles["id"].size)]
+    for j, i in enumerate(s.radars["vehicle"].tolist()):
+        radars[i].append(_radar_dict(s.radar(j)))
+    tgt = s.reference_target
     return {
-        "geometry": {"n_lanes_per_direction": s.geometry.n_lanes_per_direction,
-                     "lane_width": s.geometry.lane_width,
-                     "road_length": s.geometry.road_length,
-                     "wall_offset": s.geometry.wall_offset},
+        "geometry": asdict(s.geometry),
         "vehicles": [{
-            "id": v.id, "kind": v.kind, "center": list(v.center),
+            "id": v.id, "kind": v.kind, "center": [v.x, v.y],
             "heading": v.heading, "speed": v.speed, "width": v.width,
-            "length": v.length, "lane": v.lane,
-            "radars": [_radar_dict(r) for r in v.radars],
-        } for v in s.vehicles],
+            "length": v.length, "lane": v.lane, "radars": radars[i],
+        } for i, v in enumerate(map(s.vehicle, range(len(radars))))],
         "host_vehicle_id": s.host_vehicle_id,
         "host_radar_index": s.host_radar_index,
-        "reference_target": {"position": list(s.reference_target.position),
-                             "rcs": s.reference_target.rcs,
-                             "host_relative": s.reference_target.host_relative},
+        "reference_target": {**asdict(tgt), "position": list(tgt.position)},
         "duration": s.duration,
         "density_label": s.density_label,
     }
 
 
 def scenario_from_dict(d: dict) -> Scenario:
+    vs, tgt = d["vehicles"], d["reference_target"]
+    radars = _table(RADAR_COLUMNS, [
+        _radar_row(i, j, r) for i, v in enumerate(vs)
+        for j, r in enumerate(v["radars"])])
+    check_waveform_rows(radars)
     return Scenario(
         geometry=RoadGeometry(**d["geometry"]),
-        vehicles=tuple(Vehicle(
-            id=v["id"], kind=v["kind"], center=tuple(v["center"]),
-            heading=v["heading"], speed=v["speed"], width=v["width"],
-            length=v["length"], lane=v["lane"],
-            radars=tuple(_radar_from_dict(r) for r in v["radars"]),
-        ) for v in d["vehicles"]),
-        host_vehicle_id=d["host_vehicle_id"],
+        vehicles=_table(VEHICLE_COLUMNS, [
+            (v["id"], v["kind"], *v["center"], v["heading"], v["speed"],
+             v["width"], v["length"], v["lane"]) for v in vs]),
+        radars=radars, host=[v["id"] for v in vs].index(d["host_vehicle_id"]),
         host_radar_index=d["host_radar_index"],
         reference_target=ReferenceTarget(
-            position=tuple(d["reference_target"]["position"]),
-            rcs=d["reference_target"]["rcs"],
-            host_relative=d["reference_target"]["host_relative"]),
+            **{**tgt, "position": tuple(tgt["position"])}),
         duration=d["duration"],
         density_label=d["density_label"],
     )

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -40,9 +40,12 @@ class WaveformConfig:
     start_offset: float = 0.0
 
     def __post_init__(self):
-        if min(self.pri, self.slope, self.chirp_duration, self.carrier,
-               self.n_chirps, self.fps, self.n_elements, self.tx_power,
-               self.element_gain, self.adc_rate) <= 0:
+        # check_waveform_rows makes the same checks on table columns; a NaN
+        # field fails the positivity check, wherever it stands
+        if not all(v > 0 for v in (
+                self.pri, self.slope, self.chirp_duration, self.carrier,
+                self.n_chirps, self.fps, self.n_elements, self.tx_power,
+                self.element_gain, self.adc_rate)):
             raise ConfigurationError("waveform fields must be strictly positive")
         if self.chirp_duration > self.pri * (1 + 1e-12):
             raise ConfigurationError("chirp_duration must fit inside the PRI")
@@ -75,12 +78,15 @@ class WaveformConfig:
         return self.n_elements * self.element_gain
 
 
+WAVEFORM_FIELDS = tuple(f.name for f in fields(WaveformConfig))
+
+
 @dataclass(frozen=True)
 class ClockModel:
     drift_ppm: float = 0.0
 
     def __post_init__(self):
-        if abs(self.drift_ppm) > 100:
+        if not abs(self.drift_ppm) <= 100:   # NaN fails too
             raise ConfigurationError("clock drift limited to +/-100 ppm")
 
 
@@ -126,9 +132,10 @@ def draw_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
     return lo + (hi - lo) * rng.random()
 
 
-def sample_waveform(radar_type: RadarType, rng: np.random.Generator,
-                    interferer_ok: bool = False) -> WaveformConfig:
-    """Draw one waveform uniformly from the per-type parameter ranges."""
+def draw_waveform(radar_type: RadarType, rng: np.random.Generator,
+                  interferer_ok: bool = False) -> tuple:
+    """Draw one waveform uniformly from the per-type parameter ranges: the
+    values of WaveformConfig's fields, in field order."""
     if not isinstance(radar_type, RadarType):
         raise ConfigurationError(f"unknown radar type: {radar_type!r}")
     if radar_type is RadarType.USRR and not interferer_ok:
@@ -149,12 +156,38 @@ def sample_waveform(radar_type: RadarType, rng: np.random.Generator,
     n_chirps = int(rng.integers(spec["n_chirps"][0], spec["n_chirps"][1] + 1))
     fps = draw_uniform(rng, *spec["fps"])
     start_offset = draw_uniform(rng, 0.0, pri)
-    return WaveformConfig(
-        pri=pri, slope=slope, chirp_duration=chirp_duration, carrier=carrier,
-        n_chirps=n_chirps, fps=fps, n_elements=spec["n_elements"],
-        tx_power=spec["tx_power"], element_gain=spec["element_gain"],
-        adc_rate=DEFAULT_ADC_RATE_HZ, start_offset=start_offset,
-    )
+    return (pri, slope, chirp_duration, carrier, n_chirps, fps,
+            spec["n_elements"], spec["tx_power"], spec["element_gain"],
+            DEFAULT_ADC_RATE_HZ, start_offset)
+
+
+def sample_waveform(radar_type: RadarType, rng: np.random.Generator,
+                    interferer_ok: bool = False) -> WaveformConfig:
+    """One WaveformConfig of `draw_waveform`'s draws."""
+    return WaveformConfig(*draw_waveform(radar_type, rng, interferer_ok))
+
+
+def check_waveform_rows(w) -> None:
+    """WaveformConfig's and ClockModel's checks on every row of the columns
+    `w` (their field names): raise what building the first bad row's
+    records would raise."""
+    positive = np.logical_and.reduce(
+        [w[k] > 0 for k in WAVEFORM_FIELDS[:-1]])   # False for NaN too
+    cd, pri = w["chirp_duration"], w["pri"]
+    with np.errstate(divide="ignore"):
+        faults = {
+            "waveform fields must be strictly positive": ~positive,
+            "chirp_duration must fit inside the PRI": cd > pri * (1 + 1e-12),
+            "sweep exceeds the 4 GHz band":
+                w["slope"] * cd > SWEEP_BAND_HZ * (1 + 1e-12),
+            "dwell does not fit inside a frame":
+                w["n_chirps"] * pri > (1.0 / w["fps"]) * (1 + 1e-12),
+            "clock drift limited to +/-100 ppm":
+                ~(np.abs(w["drift_ppm"]) <= 100)}
+    bad = np.array(list(faults.values())).reshape(len(faults), -1)
+    rows = np.flatnonzero(bad.any(axis=0))
+    if rows.size:
+        raise ConfigurationError(list(faults)[np.argmax(bad[:, rows[0]])])
 
 
 def apply_clock_drift(cfg: WaveformConfig, clock: ClockModel) -> WaveformConfig:

@@ -14,7 +14,7 @@ def test_generate_scenario(tmp_path, capsys):
                "--host-type", "LRR", "--seed", "3", "--out", str(out)])
     assert rc == 0
     s = load_scenario(out)
-    assert len(s.vehicles) == 49
+    assert s.vehicles["id"].size == 49
     assert "wrote" in capsys.readouterr().out
 
 
@@ -170,6 +170,9 @@ def test_exponent_without_dot_is_a_number(tmp_path):
     ("duration: 0.0\n", "duration must be > 0"),
     ("target_range: -50\n", "target_range must be 0 (the host type's default) or >= 1 m"),
     ("target_range: 1e-20\n", "target_range must be 0"),
+    ("- a\n- b\n", "bad.yaml: not a mapping of keys to values"),
+    ("density: [unclosed\n", "bad.yaml: while parsing a flow sequence"),
+    ("density: low\n  topology: [\n", "bad config file"),
 ], ids=["target_beyond_if_band", "unknown_window", "interferer_only_host",
         "unknown_topology", "unknown_host_type", "unknown_technique",
         "negative_n_dwells", "zero_workers", "negative_cfar_guard",
@@ -181,7 +184,8 @@ def test_exponent_without_dot_is_a_number(tmp_path):
         "tf_no_slots", "tf_zero_frame_rate", "tf_negative_sync_jitter",
         "dither_bound_too_large", "dither_bound_of_topology_lrr",
         "dither_negative_bound", "negative_seed", "unknown_density",
-        "zero_duration", "negative_target_range", "target_at_the_radar"])
+        "zero_duration", "negative_target_range", "target_at_the_radar",
+        "config_is_a_list", "unclosed_flow_sequence", "bad_indentation"])
 def test_bad_config_fails_before_any_scene(tmp_path, capsys, monkeypatch, text, why):
     def no_scene(*args, **kwargs):
         raise AssertionError("a scene was built")
@@ -209,12 +213,16 @@ def test_bad_config_fails_before_any_scene(tmp_path, capsys, monkeypatch, text, 
     (["anechoic", "--n-interferers", "-1"], "n_interferers must be >= 0"),
     (["dump-maps", "--n-interferers", "-3"], "n_interferers must be >= 0"),
     (["dump-maps", "--dwell-index", "-2"], "dwell_index must be >= 0"),
+    (["sweep", "--rates", "a,b"], "bad --rates: 'a,b'"),
+    (["generate-scenario", "--rates", "0,,1", "--out", "scene.json"],
+     "bad --rates: '0,,1'"),
 ], ids=["generate_scenario_negative_seed", "sweep_negative_seed",
         "anechoic_negative_seed", "dump_maps_negative_seed",
         "anechoic_negative_count", "anechoic_no_baseline",
         "anechoic_non_numeric_count", "anechoic_no_seeds", "anechoic_no_dwells",
         "anechoic_negative_interferers", "dump_maps_negative_interferers",
-        "dump_maps_negative_dwell"])
+        "dump_maps_negative_dwell", "sweep_non_numeric_rates",
+        "generate_scenario_empty_rate"])
 def test_bad_argument_fails_before_any_dwell(tmp_path, capsys, monkeypatch,
                                              argv, why):
     def no_dwell(*args, **kwargs):
@@ -265,3 +273,52 @@ def test_tf_slot_of_a_scenario_file_is_checked_per_radar(tmp_path, capsys):
     rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
     assert rc == 1
     assert capsys.readouterr().err == "error: dwell does not fit the time slot\n"
+
+
+def test_report_of_a_csv_that_is_not_a_sweep_fails(tmp_path, capsys):
+    other = tmp_path / "other.csv"
+    other.write_text("a,b\n1,2\n")
+    assert main(["report", str(other)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {other} is not a sweep CSV: it has no " \
+                  "'technique' column\n"
+
+
+# (waveform or clock field, value, message) per WaveformConfig and
+# ClockModel check; the edited radar is vehicle 1's front LRR, whose pri is
+# 18-20 us, slope 9-11 MHz/us and fps 25-30
+SCENE_EDITS = [
+    ("tx_power", 0.0, "waveform fields must be strictly positive"),
+    ("fps", -25.0, "waveform fields must be strictly positive"),
+    ("chirp_duration", 25e-6, "chirp_duration must fit inside the PRI"),
+    ("slope", 300e12, "sweep exceeds the 4 GHz band"),
+    ("n_chirps", 5000, "dwell does not fit inside a frame"),
+    ("drift_ppm", 150.0, "clock drift limited to +/-100 ppm"),
+    ("drift_ppm", -100.5, "clock drift limited to +/-100 ppm"),
+]
+
+
+@pytest.mark.parametrize("field, value, why", SCENE_EDITS,
+                         ids=[f"{f}={v:g}" for f, v, _ in SCENE_EDITS])
+def test_bad_radar_of_a_scenario_file_fails_before_any_dwell(
+        tmp_path, capsys, monkeypatch, field, value, why):
+    scene = tmp_path / "scene.json"
+    assert main(["generate-scenario", "--density", "low", "--topology",
+                 "front", "--host-type", "LRR", "--out", str(scene)]) == 0
+    d = json.loads(scene.read_text())
+    radar = d["vehicles"][1]["radars"][0]
+    if field == "drift_ppm":
+        radar[field] = value
+    else:
+        radar["waveform"][field] = value
+    scene.write_text(json.dumps(d))
+
+    def no_dwell(*args, **kwargs):
+        raise AssertionError("a dwell was simulated")
+    monkeypatch.setattr("mirs.harness.simulate_dwell", no_dwell)
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(f"scenario_file: {scene}\nn_dwells: 1\n")
+    capsys.readouterr()
+    rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {why}\n"

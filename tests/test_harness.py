@@ -21,9 +21,10 @@ from mirs.harness import (HOST_ORDER, HOST_TARGET_RANGE, PENETRATION_GRID,
                           run_sweep, simulate_dwell, table2_cells)
 from mirs.mitigation import MitigationPlan, Technique
 from mirs.processing import vertical_stripes
-from mirs.scenario import Topology
+from mirs.scenario import Topology, scenario_from_dict, scenario_to_dict
 from mirs.synthesis import read_cube, synthesize_dwell
 from mirs.waveform import RadarType
+from scene_objects import radar_dict
 
 
 QUICK = dict(density="low", topology=Topology.FRONT, host_type=RadarType.LRR,
@@ -152,24 +153,20 @@ def test_output_dir_env_override(monkeypatch):
 def test_build_scene_installs_expected_radars():
     cfg = RunConfig(**QUICK)
     s = build_scene(cfg, 0)
-    host = s.host
-    assert len(host.radars) == 1
-    assert host.radars[0].radar_type is RadarType.LRR
-    for v in s.vehicles:
-        if v.id != s.host_vehicle_id:
-            assert len(v.radars) == 1  # front topology
+    counts = np.bincount(s.radars["vehicle"])
+    assert counts.tolist() == [1] * s.vehicles["id"].size  # front topology
+    assert s.host_radar.radar_type is RadarType.LRR
     # deterministic in (seed, seed_index), independent across indexes
-    assert build_scene(cfg, 0) == s
-    assert build_scene(cfg, 1) != s
+    assert scenario_to_dict(build_scene(cfg, 0)) == scenario_to_dict(s)
+    assert scenario_to_dict(build_scene(cfg, 1)) != scenario_to_dict(s)
 
 
 def test_prepare_scene_penetration_zero_strips_interferers():
     cfg = RunConfig(**QUICK)
     s = prepare_scene(cfg, 0, 0.0)
-    assert all(not v.radars for v in s.vehicles if v.id != s.host_vehicle_id)
-    assert s.host.radars
+    assert s.radars["vehicle"].tolist() == [s.host]
     s1 = prepare_scene(cfg, 0, 1.0)
-    assert all(v.radars for v in s1.vehicles)
+    assert np.unique(s1.radars["vehicle"]).size == s1.vehicles["id"].size
 
 
 def test_host_target_range_defaults():
@@ -298,18 +295,18 @@ def test_dwell_reuse_keys_on_the_dwell_index():
     # a parked host is the same vehicle at every dwell
     cfg = RunConfig(**{**QUICK, "penetration_rates": (0.0,), "n_dwells": 4})
     scene = build_scene(cfg, 0)
-    parked = scene.with_vehicles(
-        replace(v, speed=0.0) if v.id == scene.host_vehicle_id else v
-        for v in scene.vehicles)
+    v = scene.vehicles
+    parked = replace(scene, vehicles={**v, "speed": np.where(
+        np.arange(v["id"].size) == scene.host, 0.0, v["speed"])})
     reuse = {}
     assert run_cell(cfg, 0, 0.0, parked, reuse) == run_cell(cfg, 0, 0.0, parked)
     assert len(reuse) == cfg.n_dwells
 
 
 def _with_host_radars(s, radars, index=0):
-    return replace(s.with_vehicles(
-        replace(v, radars=radars) if v.id == s.host_vehicle_id else v
-        for v in s.vehicles), host_radar_index=index)
+    d = scenario_to_dict(s)
+    d["vehicles"][s.host]["radars"] = [radar_dict(r) for r in radars]
+    return scenario_from_dict({**d, "host_radar_index": index})
 
 
 @pytest.mark.parametrize("differ", ["host_radar", "host_radar_index",
@@ -351,10 +348,10 @@ def test_prepare_scene_on_a_shared_scene(technique):
     for i in range(2):
         base = build_scene(cfg, i)
         for rate in PENETRATION_GRID:
-            assert prepare_scene(cfg, i, rate, base) == \
-                prepare_scene(cfg, i, rate)
+            assert scenario_to_dict(prepare_scene(cfg, i, rate, base)) == \
+                scenario_to_dict(prepare_scene(cfg, i, rate))
         # preparing every rate left the shared scene as built
-        assert base == build_scene(cfg, i)
+        assert scenario_to_dict(base) == scenario_to_dict(build_scene(cfg, i))
 
 
 @pytest.mark.parametrize("n_seeds, n_rates, workers, want", [

@@ -11,7 +11,7 @@ from mirs.mitigation import (BAND_LO_HZ, BAND_TOTAL_HZ, MitigationPlan,
                              apply_time_dithering, apply_time_frequency_coding,
                              cross_pol_factor, mount_class)
 from mirs.scenario import (Polarization, Topology, generate_highway,
-                           install_host_radar, install_radars)
+                           install_radars, scenario_to_dict)
 from mirs.synthesis import can_beat_in_band
 from mirs.waveform import RadarType
 
@@ -19,29 +19,26 @@ from mirs.waveform import RadarType
 def rigged_scene(topology=Topology.FULL, density="low", seed=0,
                  host_type=RadarType.LRR):
     rng = np.random.default_rng(seed)
-    s = generate_highway(density, rng=rng)
-    out = []
-    for v in s.vehicles:
-        if v.id == s.host_vehicle_id:
-            out.append(install_host_radar(v, host_type, rng))
-        else:
-            out.append(install_radars(v, topology, rng))
-    return s.with_vehicles(out)
+    return install_radars(generate_highway(density, rng=rng), topology,
+                          host_type, rng)
 
 
 def all_radars(s):
-    return [(v, r) for v in s.vehicles for r in v.radars]
+    """(vehicle record, radar record, mount class) per radar row."""
+    classes = mount_class(s.radars).tolist()
+    return [(s.vehicle(i), s.radar(j), classes[j])
+            for j, i in enumerate(s.radars["vehicle"].tolist())]
 
 
 def geometry_fingerprint(s):
-    return [(v.id, v.center, v.heading, v.speed, v.lane) for v in s.vehicles]
+    return [(v.id, v.x, v.y, v.heading, v.speed, v.lane)
+            for v in map(s.vehicle, range(s.vehicles["id"].size))]
 
 
 def test_mount_class_partition():
     s = rigged_scene()
-    v = next(x for x in s.vehicles
-             if x.id != s.host_vehicle_id and len(x.radars) == 7)
-    classes = sorted(mount_class(r) for r in v.radars)
+    v = next(i for i in range(s.vehicles["id"].size) if i != s.host)
+    classes = sorted(mount_class(s.radars)[s.radars["vehicle"] == v].tolist())
     # full topology: LRR+SRR front-center, SRR rear-center, 2 front corners,
     # 2 rear corners
     assert classes == [0, 0, 1, 2, 2, 3, 3]
@@ -51,8 +48,7 @@ def test_predefined_frequency_band_containment():
     s = rigged_scene()
     out = apply_predefined_frequency(s, np.random.default_rng(1))
     width = BAND_TOTAL_HZ / 4.0
-    for v, r in all_radars(out):
-        band = mount_class(r)
+    for v, r, band in all_radars(out):
         lo = BAND_LO_HZ + band * width
         assert r.band_assignment == (lo, lo + width)
         wf = r.waveform
@@ -64,8 +60,7 @@ def test_predefined_frequency_band_containment():
 def test_predefined_frequency_same_placement_same_band():
     s = rigged_scene()
     out = apply_predefined_frequency(s, np.random.default_rng(1))
-    fronts = [r.band_assignment for v, r in all_radars(out)
-              if mount_class(r) == 0]
+    fronts = [r.band_assignment for v, r, c in all_radars(out) if c == 0]
     assert len(set(fronts)) == 1
 
 
@@ -75,10 +70,10 @@ def test_disjoint_bands_cannot_beat():
     s = rigged_scene()
     out = apply_predefined_frequency(s, np.random.default_rng(2))
     host_r = out.host_radar
-    assert mount_class(host_r) == 0
+    assert mount_class(out.radars)[out.host_row] == 0
     checked = 0
-    for v, r in all_radars(out):
-        if v.id == out.host_vehicle_id or mount_class(r) == 0:
+    for v, r, c in all_radars(out):
+        if v.id == out.host_vehicle_id or c == 0:
             continue
         assert not can_beat_in_band(host_r.drifted(), r.drifted())
         checked += 1
@@ -88,7 +83,7 @@ def test_disjoint_bands_cannot_beat():
 def test_predefined_polarization_by_direction():
     s = rigged_scene()
     out = apply_predefined_polarization(s)
-    for v, r in all_radars(out):
+    for v, r, _ in all_radars(out):
         want = Polarization.V if math.cos(v.heading) > 0 else Polarization.H
         assert r.polarization is want
     assert geometry_fingerprint(out) == geometry_fingerprint(s)
@@ -107,7 +102,7 @@ def test_cross_pol_factors():
 def test_time_dithering_sets_bound_and_validates():
     s = rigged_scene()
     out = apply_time_dithering(s, 2e-6)
-    for v, r in all_radars(out):
+    for v, r, _ in all_radars(out):
         assert r.dither_bound == 2e-6
         assert r.dither_bound + r.waveform.chirp_duration <= r.waveform.pri
     assert geometry_fingerprint(out) == geometry_fingerprint(s)
@@ -118,7 +113,7 @@ def test_time_dithering_sets_bound_and_validates():
 def test_time_dithering_zero_is_identity():
     s = rigged_scene()
     out = apply_time_dithering(s, 0.0)
-    assert out == s
+    assert scenario_to_dict(out) == scenario_to_dict(s)
 
 
 def test_tf_coding_assignment_and_containment():
@@ -127,7 +122,7 @@ def test_tf_coding_assignment_and_containment():
                                       rng=np.random.default_rng(3),
                                       frame_rate=15.0)
     seen = set()
-    for v, r in all_radars(out):
+    for v, r, _ in all_radars(out):
         band, slot, n_slots, frame_p, sync = r.tf_slot
         assert 0 <= band < 8 and 0 <= slot < 6
         assert n_slots == 6 and frame_p == pytest.approx(1 / 15.0)
@@ -164,7 +159,7 @@ def test_tf_coding_orthogonality_eliminates_overlap():
     for d in range(3):
         ht = host_chirp_times(host_wf, d, tf_slot=hr.tf_slot)
         t0, t1 = ht[0], ht[-1] + host_wf.chirp_duration
-        for v, r in all_radars(out):
+        for v, r, _ in all_radars(out):
             if v.id == out.host_vehicle_id:
                 continue
             if r.tf_slot[:2] == hr.tf_slot[:2]:
@@ -179,7 +174,7 @@ def test_tf_coding_orthogonality_eliminates_overlap():
 def test_apply_technique_dispatch():
     s = rigged_scene()
     rng = np.random.default_rng(0)
-    assert apply_technique(s, MitigationPlan(Technique.NONE), rng) == s
+    assert apply_technique(s, MitigationPlan(Technique.NONE), rng) is s
     for tech in Technique:
         plan = MitigationPlan(technique=tech, n_bands=64, n_slots=6)
         out = apply_technique(s, plan, np.random.default_rng(1))

@@ -16,12 +16,13 @@ from mirs.propagation import (CONCRETE_INDEX, PATH_DTYPE, PATH_KINDS,
                               MaterialModel, PathKind, echo_power,
                               fresnel_reflection, one_way_gain, paths,
                               segments_blocked, vehicle_rects)
-from mirs.scenario import (Polarization, ReferenceTarget, RoadGeometry,
-                           Scenario, Topology, Vehicle, generate_highway,
-                           install_host_radar, install_radars)
+from mirs.scenario import (Polarization, RoadGeometry, Topology,
+                           generate_highway, install_radars, scenario_from_dict,
+                           scenario_to_dict)
 from mirs.synthesis import (can_beat_in_band, chirp_times_in_window,
                             host_chirp_times)
 from mirs.waveform import RadarType
+from scene_objects import ObjVehicle, objects_from_scene, scene_dict
 
 
 def oracle_fresnel(theta, n):
@@ -79,9 +80,13 @@ class Rect:
         self.width = w
         self.length = l
 
-    @property
-    def half_extents(self):
-        return (self.length / 2.0, self.width / 2.0)
+
+def rect_table(rects):
+    """The vehicle-table columns vehicle_rects reads, one row per Rect."""
+    return {"x": np.array([r.center[0] for r in rects]),
+            "y": np.array([r.center[1] for r in rects]),
+            "width": np.array([r.width for r in rects]),
+            "length": np.array([r.length for r in rects])}
 
 
 # a rectangle far from every test segment, to stand in as owner and host
@@ -95,7 +100,7 @@ def blocked(rects, p, q, owner=None, host=None):
     return bool(segments_blocked(
         np.array([p], dtype=float), np.array([q], dtype=float),
         np.array([last if owner is None else owner]),
-        last if host is None else host, vehicle_rects(rects))[0])
+        last if host is None else host, vehicle_rects(rect_table(rects)))[0])
 
 
 def sampled_blocked(p, q, rect, n=1000, margin=0.0):
@@ -142,7 +147,8 @@ def test_segment_blocked_basic_cases():
     # no segments: nothing to test
     none = np.empty((0, 2))
     assert segments_blocked(none, none, np.empty(0, dtype=int), 0,
-                            vehicle_rects(rects)).shape == (0,)
+                            vehicle_rects(rect_table(rects))).shape == (0,)
+    assert vehicle_rects(rect_table([])).shape == (0, 4)
 
 
 coord = st.floats(-25.0, 25.0, allow_nan=False)
@@ -164,7 +170,7 @@ def test_segments_blocked_matches_sampling_oracle_property(centers, segments,
     p = np.array([s[0] for s in segments], dtype=float)
     q = np.array([s[1] for s in segments], dtype=float)
     owner = np.array([s[2] % len(rects) for s in segments])
-    got = segments_blocked(p, q, owner, host, vehicle_rects(rects))
+    got = segments_blocked(p, q, owner, host, vehicle_rects(rect_table(rects)))
     for k, (a, b, _) in enumerate(segments):
         live = [r for i, r in enumerate(rects) if i not in (owner[k], host)]
 
@@ -190,7 +196,8 @@ def test_segments_blocked_matches_sampling_oracle_property(centers, segments,
 def clean_scene(seed=0):
     s = generate_highway("low", rng=np.random.default_rng(seed))
     # strip all vehicles so no blockage interferes with geometry checks
-    return s.with_vehicles([v for v in s.vehicles if v.id == s.host_vehicle_id])
+    d = scenario_to_dict(s)
+    return scenario_from_dict({**d, "vehicles": [d["vehicles"][s.host]]})
 
 
 def radar_rows(*rows, gain=1.0, carrier=77e9):
@@ -276,15 +283,15 @@ def test_bounce_outside_road_span_is_dropped():
 
 def test_paths_blockage_flag():
     s = generate_highway("low", rng=np.random.default_rng(0))
-    host = 0
-    assert s.vehicles[host].id == s.host_vehicle_id
-    i, blocker = next((i, v) for i, v in enumerate(s.vehicles)
-                      if i != host and v.lane == s.host.lane)
+    host = s.host
+    i, blocker = next((i, s.vehicle(i)) for i in range(s.vehicles["id"].size)
+                      if i != host and s.vehicles["lane"][i]
+                      == s.vehicles["lane"][host])
     # a segment straight through the blocker center is marked blocked;
     # MIN_GAP keeps every other vehicle off it
     reach = blocker.length / 2.0 + 1.0
-    p = (blocker.center[0] - reach, blocker.center[1])
-    q = (blocker.center[0] + reach, blocker.center[1])
+    p = (blocker.x - reach, blocker.y)
+    q = (blocker.x + reach, blocker.y)
     got = scene_paths(s, radar_rows((*p, 0.0, NARROW, host)), q,
                       rx_bore=math.pi, rx_fov=NARROW)
     assert kinds(got) == [PathKind.DIRECT] and got.blocked[0]
@@ -302,8 +309,7 @@ def test_paths_blockage_flag():
 def host_radar_instance(radar_type=RadarType.LRR, seed=0):
     rng = np.random.default_rng(seed)
     s = generate_highway("low", rng=rng)
-    host = install_host_radar(s.host, radar_type, rng)
-    return host.radars[0]
+    return install_radars(s, Topology.FRONT, radar_type, rng).host_radar
 
 
 def link(r, tx_bore, rx_bore, tx=(100.0, -5.0), rx=(200.0, -5.0)):
@@ -444,17 +450,19 @@ def ref_paths(tx, rx, geometry):
     return out
 
 
-def ref_emitters(snap, host_pos, host_bore, hr, host_wf, t0, t1, seed_key):
-    """build_emitters one radar and one path at a time: every path's
-    reflection and blockage first, the sector gates last."""
+def ref_emitters(vehicles, host, geometry, host_pos, host_bore, hr, host_wf,
+                 t0, t1, seed_key):
+    """build_emitters over the object form of a scene (`vehicles`, with the
+    host vehicle at index `host`), one radar and one path at a time: every
+    path's reflection and blockage first, the sector gates last."""
     def in_sector(angle, bore, fov):
         return abs((angle - bore + math.pi) % (2 * math.pi) - math.pi) <= fov
 
-    rects = vehicle_rects(snap.vehicles)
-    host = next(i for i, v in enumerate(snap.vehicles)
-                if v.id == snap.host_vehicle_id)
+    rects = [(v.center[0] - v.length / 2.0, v.center[0] + v.length / 2.0,
+              v.center[1] - v.width / 2.0, v.center[1] + v.width / 2.0)
+             for v in vehicles]
     out = []
-    for i, v in enumerate(snap.vehicles):
+    for i, v in enumerate(vehicles):
         if i == host:
             continue
         for ri, r in enumerate(v.radars):
@@ -464,7 +472,7 @@ def ref_emitters(snap, host_pos, host_bore, hr, host_wf, t0, t1, seed_key):
             pos, bore = v.radar_world_position(r), v.radar_world_boresight(r)
             times = None
             for kind, length, dep, arr, coeff, legs in ref_paths(
-                    pos, host_pos, snap.geometry):
+                    pos, host_pos, geometry):
                 if any(ref_segment_blocked(a, b, rects[j])
                        for a, b in legs for j in range(len(rects))
                        if j not in (i, host)):
@@ -489,17 +497,24 @@ def ref_emitters(snap, host_pos, host_bore, hr, host_wf, t0, t1, seed_key):
     return out
 
 
+SMALL_SCENE = {"geometry": {"n_lanes_per_direction": 3, "lane_width": 3.5,
+                            "road_length": 1000.0, "wall_offset": 1.0},
+               "host_vehicle_id": 0, "host_radar_index": 0,
+               "reference_target": {"position": [100.0, 0.0], "rcs": 10.0,
+                                    "host_relative": True},
+               "duration": 10.0, "density_label": "low"}
+
+
 @st.composite
 def small_scenes(draw):
-    """A host and a few cars and trucks with full radar sets; some radars
-    are turned, re-polarized, moved near the host's carrier, put on a TF
-    slot or dithered."""
+    """A host and a few cars and trucks with full radar sets, as objects and
+    as the library scene of the same radars; some radars are turned,
+    re-polarized, moved near the host's carrier, put on a TF slot or
+    dithered."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     g = RoadGeometry()
-    host = Vehicle(id=0, kind="car", center=(500.0, g.lane_center(1)),
-                   heading=0.0, speed=30.0, width=2.0, length=5.0, lane=1)
-    host = install_host_radar(host, draw(st.sampled_from(
-        [RadarType.LRR, RadarType.SRR, RadarType.SBZA])), rng)
+    host = ObjVehicle(id=0, kind="car", center=(500.0, g.lane_center(1)),
+                      heading=0.0, speed=30.0, width=2.0, length=5.0, lane=1)
     vehicles = [host]
     for vid in range(1, draw(st.integers(1, 6)) + 1):
         kind = draw(st.sampled_from(["car", "truck"]))
@@ -508,17 +523,22 @@ def small_scenes(draw):
         if lane == host.lane and abs(x - 500.0) < 12.0:
             x += 24.0          # keep clear of the host's footprint
         w, l = (2.6, 13.0) if kind == "truck" else (2.0, 5.0)
-        v = Vehicle(id=vid, kind=kind, center=(x, g.lane_center(lane)),
-                    heading=g.lane_heading(lane), speed=30.0, width=w,
-                    length=l, lane=lane)
-        vehicles.append(install_radars(v, Topology.FULL, rng))
-    host_wf = host.radars[0].waveform
+        vehicles.append(ObjVehicle(
+            id=vid, kind=kind, center=(x, g.lane_center(lane)),
+            heading=g.lane_heading(lane), speed=30.0, width=w, length=l,
+            lane=lane))
+    installed = install_radars(
+        scenario_from_dict(scene_dict(vehicles, SMALL_SCENE)), Topology.FULL,
+        draw(st.sampled_from([RadarType.LRR, RadarType.SRR, RadarType.SBZA])),
+        rng)
+    vehicles = objects_from_scene(installed)
+    host_wf = vehicles[0].radars[0].waveform
     out = []
     for v in vehicles:
         radars = []
         for r in v.radars:
             wf = r.waveform
-            if rng.random() < 0.7 and v is not host:
+            if rng.random() < 0.7 and v.id != host.id:
                 wf = replace(wf, carrier=host_wf.carrier
                              + rng.uniform(-3e8, 3e8))
             r = replace(r, waveform=wf, polarization=rng.choice(
@@ -532,23 +552,26 @@ def small_scenes(draw):
                 r = replace(r, dither_bound=rng.uniform(0.0, 2e-6))
             radars.append(r)
         out.append(replace(v, radars=tuple(radars)))
-    return Scenario(geometry=g, vehicles=tuple(out), host_vehicle_id=0,
-                    host_radar_index=0,
-                    reference_target=ReferenceTarget((100.0, 0.0), 10.0))
+    return out, scenario_from_dict(scene_dict(out, SMALL_SCENE))
 
 
 @settings(max_examples=60, deadline=None)
-@given(snap=small_scenes(), dwell=st.integers(0, 3))
-def test_build_emitters_matches_scalar_reference(snap, dwell):
-    host_v, hr = snap.host, snap.host_radar
+@given(scenes=small_scenes(), dwell=st.integers(0, 3))
+def test_build_emitters_matches_scalar_reference(scenes, dwell):
+    vehicles, snap = scenes
+    host_v = vehicles[0]
+    hr = host_v.radars[0]
+    assert snap.host == 0 and snap.host_radar == hr
     host_pos = host_v.radar_world_position(hr)
     host_bore = host_v.radar_world_boresight(hr)
+    assert [a.item() for a in snap.radar_poses(snap.host_row)] == \
+        [*host_pos, host_bore]
     host_wf = hr.drifted()
     times = host_chirp_times(host_wf, dwell, tf_slot=hr.tf_slot)
     t0, t1 = times[0], times[-1] + host_wf.chirp_duration
-    args = (snap, host_pos, host_bore, hr, host_wf, t0, t1, (7, dwell))
-    got = build_emitters(*args)
-    want = ref_emitters(*args)
+    args = (host_pos, host_bore, hr, host_wf, t0, t1, (7, dwell))
+    got = build_emitters(snap, *args)
+    want = ref_emitters(vehicles, 0, snap.geometry, *args)
     assert [e.key for e in got] == [w[:3] for w in want]
     for e, (_, _, _, wf, amp, chirps) in zip(got, want):
         assert e.waveform == wf

@@ -1,10 +1,13 @@
 """Scene preparation against a scalar-draw reference.
 
-The library draws a radar's uniforms with one `rng.random(k)` call, the
-penetration draws with one call per scene and every carrier of a
-frequency-allocating technique with one `rng.uniform` call.  The reference
-below draws one scalar per quantity and rebuilds objects with
-`dataclasses.replace`; both must give equal scenes for the same seeds.
+The library writes a scene's radars into the columns of one radar table: a
+radar's uniforms are scalar `draw_uniform` calls, the penetration draws one
+`rng.random` call per scene and every carrier of a frequency-allocating
+technique one `rng.uniform` call, and each transform writes whole columns.
+The reference below keeps the scene as objects (tests/scene_objects.py),
+draws one scalar per quantity with `rng.uniform` and rebuilds each radar
+record with `dataclasses.replace`.  Both must give the same scene, compared
+through `scenario_to_dict` with every technique field, for the same seeds.
 """
 import math
 from dataclasses import replace
@@ -15,13 +18,13 @@ from hypothesis import strategies as st
 
 from mirs import harness as H
 from mirs.errors import ConfigurationError
-from mirs.mitigation import (BAND_LO_HZ, BAND_TOTAL_HZ, MitigationPlan,
-                             Technique, mount_class)
-from mirs.scenario import (CLOCK_DRIFT_PPM, FOV_HALFWIDTH, HOST_MOUNTS,
-                           Polarization, RadarInstance, Topology,
-                           generate_highway, radar_layout)
+from mirs.mitigation import BAND_LO_HZ, BAND_TOTAL_HZ, MitigationPlan, Technique
+from mirs.scenario import (CLOCK_DRIFT_PPM, FOV_HALFWIDTH, Polarization, RadarInstance, Topology,
+                           generate_highway, radar_layout, scenario_from_dict,
+                           scenario_to_dict)
 from mirs.waveform import (DEFAULT_ADC_RATE_HZ, WAVEFORM_RANGES, ClockModel,
                            RadarType, WaveformConfig, sample_waveform)
+from scene_objects import objects_from_scene, scene_dict
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +60,17 @@ def ref_make_radar(radar_type, mount, boresight, rng):
                          radar_type=radar_type, waveform=wf, clock=clock)
 
 
+def ref_mount_class(radar):
+    """0 front-center, 1 rear-center, 2 front-corner, 3 rear-corner."""
+    mx, my = radar.mount
+    front = mx > 0
+    if abs(my) < 1e-9:
+        return 0 if front else 1
+    return 2 if front else 3
+
+
 def ref_build_scene(cfg, seed_index):
+    """(vehicles with radars, scenario dict without them)."""
     rng = np.random.default_rng(
         np.random.SeedSequence([cfg.seed, seed_index, H.SCEN_TAG]))
     scen = generate_highway(
@@ -65,28 +78,30 @@ def ref_build_scene(cfg, seed_index):
         target_rcs_dbsm=cfg.target_rcs_dbsm,
         target_range=cfg.target_range or H.HOST_TARGET_RANGE[cfg.host_type])
     out = []
-    for v in scen.vehicles:
+    for v in objects_from_scene(scen):
         hl, hw = v.length / 2.0, v.width / 2.0
         if v.id == scen.host_vehicle_id:
-            place, boresight = HOST_MOUNTS[cfg.host_type]
-            mount = (hl, 0.0) if place == "front_center" else (-hl, hw)
+            # front-center host, except a rear-left SBZA host
+            mount, boresight = (((-hl, hw), math.pi - math.pi / 4.0)
+                                if cfg.host_type is RadarType.SBZA
+                                else ((hl, 0.0), 0.0))
             radars = (ref_make_radar(cfg.host_type, mount, boresight, rng),)
         else:
             radars = tuple(ref_make_radar(t, m, b, rng)
                            for t, m, b in radar_layout(cfg.topology, v.width,
                                                        v.length))
         out.append(replace(v, radars=radars))
-    return scen.with_vehicles(out)
+    return out, scenario_to_dict(scen)
 
 
-def ref_assign_penetration(scenario, rate, rng):
+def ref_assign_penetration(vehicles, host_id, rate, rng):
     out = []
-    for v in scenario.vehicles:
-        if v.id == scenario.host_vehicle_id or rng.random() < rate:
+    for v in vehicles:
+        if v.id == host_id or rng.random() < rate:
             out.append(v)
         else:
             out.append(replace(v, radars=()))
-    return scenario.with_vehicles(out)
+    return out
 
 
 def ref_fit_in_band(wf, band_lo, band_width, rng):
@@ -99,49 +114,48 @@ def ref_fit_in_band(wf, band_lo, band_width, rng):
     return replace(wf, slope=slope, carrier=carrier)
 
 
-def ref_predefined_frequency(scenario, rng):
+def ref_predefined_frequency(vehicles, rng):
     width = BAND_TOTAL_HZ / 4.0
     out = []
-    for v in scenario.vehicles:
+    for v in vehicles:
         radars = []
         for r in v.radars:
-            lo = BAND_LO_HZ + mount_class(r) * width
+            lo = BAND_LO_HZ + ref_mount_class(r) * width
             radars.append(replace(
                 r, waveform=ref_fit_in_band(r.waveform, lo, width, rng),
                 band_assignment=(lo, lo + width)))
         out.append(replace(v, radars=tuple(radars)))
-    return scenario.with_vehicles(out)
+    return out
 
 
-def ref_predefined_polarization(scenario):
+def ref_predefined_polarization(vehicles):
     out = []
-    for v in scenario.vehicles:
+    for v in vehicles:
         pol = Polarization.V if math.cos(v.heading) > 0 else Polarization.H
         out.append(replace(v, radars=tuple(replace(r, polarization=pol)
                                            for r in v.radars)))
-    return scenario.with_vehicles(out)
+    return out
 
 
-def ref_time_dithering(scenario, jitter_bound):
-    for v in scenario.vehicles:
+def ref_time_dithering(vehicles, jitter_bound):
+    for v in vehicles:
         for r in v.radars:
             if jitter_bound + r.waveform.chirp_duration > r.waveform.pri:
                 raise ConfigurationError("jitter bound breaks chirp timing")
-    return scenario.with_vehicles(
-        replace(v, radars=tuple(replace(r, dither_bound=jitter_bound)
-                                for r in v.radars))
-        for v in scenario.vehicles)
+    return [replace(v, radars=tuple(replace(r, dither_bound=jitter_bound)
+                                    for r in v.radars))
+            for v in vehicles]
 
 
-def ref_time_frequency_coding(scenario, n_bands, n_slots, sync_jitter, rng,
+def ref_time_frequency_coding(vehicles, n_bands, n_slots, sync_jitter, rng,
                               frame_rate):
     frame_p = 1.0 / frame_rate
     slot_len = frame_p / n_slots
     width = BAND_TOTAL_HZ / n_bands
-    keys = [(v.id, i) for v in scenario.vehicles for i in range(len(v.radars))]
+    keys = [(v.id, i) for v in vehicles for i in range(len(v.radars))]
     rank = {k: j for j, k in enumerate(sorted(keys))}
     out = []
-    for v in scenario.vehicles:
+    for v in vehicles:
         radars = []
         for i, r in enumerate(v.radars):
             if r.waveform.dwell_duration > slot_len:
@@ -155,13 +169,16 @@ def ref_time_frequency_coding(scenario, n_bands, n_slots, sync_jitter, rng,
                 r, waveform=wf, band_assignment=(lo, lo + width),
                 tf_slot=(band, slot, n_slots, frame_p, sync)))
         out.append(replace(v, radars=tuple(radars)))
-    return scenario.with_vehicles(out)
+    return out
 
 
 def ref_prepare_scene(cfg, seed_index, rate, scene):
+    """The vehicles of the library scene `scene` with penetration and
+    technique applied."""
     rng_p = np.random.default_rng(np.random.SeedSequence(
         [cfg.seed, seed_index, H.PEN_TAG, int(round(rate * 1000))]))
-    scen = ref_assign_penetration(scene, rate, rng_p)
+    scen = ref_assign_penetration(objects_from_scene(scene),
+                                  scene.host_vehicle_id, rate, rng_p)
     p = cfg.plan
     rng = np.random.default_rng(np.random.SeedSequence(
         [cfg.seed, seed_index, H.TECH_TAG, list(Technique).index(p.technique)]))
@@ -181,14 +198,17 @@ def ref_prepare_scene(cfg, seed_index, rate, scene):
 
 def check_against_reference(cfg, seed_index, rate, permutation_seed=None):
     scene = H.build_scene(cfg, seed_index)
-    assert scene == ref_build_scene(cfg, seed_index)
+    got = scenario_to_dict(scene)
+    assert got == scene_dict(*ref_build_scene(cfg, seed_index))
     if permutation_seed is not None:
-        # TF coding ranks radars by vehicle id, not by list position
+        # TF coding ranks radars by vehicle id, not by row
         order = np.random.default_rng(permutation_seed).permutation(
-            len(scene.vehicles))
-        scene = scene.with_vehicles(scene.vehicles[i] for i in order)
-    assert (H.prepare_scene(cfg, seed_index, rate, scene)
-            == ref_prepare_scene(cfg, seed_index, rate, scene))
+            len(got["vehicles"]))
+        scene = scenario_from_dict(
+            {**got, "vehicles": [got["vehicles"][i] for i in order]})
+    assert (scenario_to_dict(H.prepare_scene(cfg, seed_index, rate, scene))
+            == scene_dict(ref_prepare_scene(cfg, seed_index, rate, scene),
+                          scenario_to_dict(scene)))
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirs.errors import ConfigurationError
 from mirs.synthesis import host_chirp_times
-from mirs.waveform import (ClockModel, RadarType, WAVEFORM_RANGES,
-                           WaveformConfig, apply_clock_drift, sample_waveform)
+from mirs.waveform import (WAVEFORM_FIELDS, ClockModel, RadarType,
+                           WAVEFORM_RANGES, WaveformConfig, apply_clock_drift,
+                           check_waveform_rows, sample_waveform)
 
 
 def draw_many(radar_type, n=10000, seed=1):
@@ -118,3 +121,51 @@ def test_n_fast_and_dwell_duration():
                         adc_rate=25e6)
     assert wf.n_fast == 472
     assert wf.dwell_duration == pytest.approx(512 * 27.4e-6)
+
+
+def _first_record_error(rows):
+    """The message of the first record a row of (waveform fields..., drift)
+    fails to build, or None."""
+    for *fields, drift in rows:
+        try:
+            WaveformConfig(*fields)
+            ClockModel(drift_ppm=drift)
+        except ConfigurationError as e:
+            return str(e)
+    return None
+
+
+# a valid LRR row, and per field a few values that may break one check
+GOOD_ROW = (19e-6, 10e12, 15e-6, 79e9, 300, 27.0, 12, 0.01, 25.0, 25e6,
+            5e-6, 3.0)
+EDITS = {"pri": [0.0, 10e-6, -1e-6, math.nan], "slope": [-1.0, 3e14, math.nan],
+         "chirp_duration": [20e-6, 0.0, math.nan], "carrier": [0.0],
+         "n_chirps": [0, 3000], "fps": [0.0, -1.0, 200.0, math.nan],
+         "n_elements": [0], "tx_power": [-0.01], "element_gain": [0.0],
+         "adc_rate": [0.0], "start_offset": [-1.0],
+         "drift_ppm": [100.0, 100.5, -150.0, math.nan]}
+
+
+@st.composite
+def waveform_rows(draw):
+    row = list(GOOD_ROW)
+    for _ in range(draw(st.integers(0, 3))):
+        name = draw(st.sampled_from(sorted(EDITS)))
+        i = (WAVEFORM_FIELDS + ("drift_ppm",)).index(name)
+        row[i] = draw(st.sampled_from(EDITS[name]))
+    return tuple(row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(waveform_rows(), min_size=1, max_size=4))
+def test_row_checks_match_the_record_checks(rows):
+    # check_waveform_rows raises what building the first bad row's
+    # WaveformConfig and ClockModel raises, NaNs and zero fps included
+    cols = dict(zip(WAVEFORM_FIELDS + ("drift_ppm",),
+                    (np.array(c) for c in zip(*rows))))
+    try:
+        check_waveform_rows(cols)
+        got = None
+    except ConfigurationError as e:
+        got = str(e)
+    assert got == _first_record_error(rows)
