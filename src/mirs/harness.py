@@ -18,8 +18,10 @@ import typing
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy
 from scipy.constants import c as C0
 
+from . import __version__
 from .errors import ConfigurationError
 from .metrics import SweepResult, probability_of_detection, stable_mean
 from .mitigation import (MitigationPlan, Technique, apply_technique,
@@ -556,8 +558,11 @@ CSV_FIELDS = ("scenario_label", "topology", "host_radar_type", "technique",
 
 
 def results_csv(cfg: RunConfig, results) -> str:
+    """The sweep CSV: the config and the mirs, numpy and scipy versions as
+    `# key=value` lines, then one row per result."""
     buf = io.StringIO()
-    md = cfg.metadata()
+    md = {**cfg.metadata(), "mirs_version": __version__,
+          "numpy_version": np.__version__, "scipy_version": scipy.__version__}
     for k in sorted(md):
         buf.write(f"# {k}={md[k]}\n")
     w = csv.writer(buf, lineterminator="\n")
@@ -721,9 +726,8 @@ def dump_maps(outdir, n_interferers: int = 5, dwell_index: int = 0,
     written = []
     for tag, count in (("clean", 0), ("interf", n_interferers)):
         cube = chamber_cube(specs[:count], seed, 0, dwell_index)
-        mats = (("time_chirp", cube),
-                ("range_chirp", range_chirp(cube).astype(np.complex128)),
-                ("range_doppler", range_doppler(cube).astype(np.complex128)))
+        mats = (("time_chirp", cube), ("range_chirp", range_chirp(cube)),
+                ("range_doppler", range_doppler(cube)))
         for name, mat in mats:
             path = os.path.join(outdir, f"{name}_{tag}.bin")
             try:

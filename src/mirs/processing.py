@@ -1,5 +1,10 @@
 """Host radar DSP chain: range FFT, Doppler FFT, floor estimation, CA-CFAR.
 
+The maps are computed in single precision from the double IF cube: the cube
+is cast to complex64 in the fast-time window multiply, both FFT passes run
+through scipy.fft in complex64, and the power maps are float32, as are the
+floor median and the CFAR sums taken on them.
+
 Window power is normalized so that a pure-noise floor level is invariant to
 the window choice; the Doppler axis is fftshifted so zero Doppler sits at bin
 n_chirps // 2.
@@ -9,31 +14,34 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import ndimage
+from scipy import fft, ndimage
 
 from .errors import ConfigurationError
 
 WINDOWS = {"rect": np.ones, "hann": np.hanning}
 
 
-def _range_fft(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Windowed FFT over fast time, normalized so E|X|^2 of white noise equals
-    the per-sample noise power."""
-    y = np.fft.fft(x * w[:, None], axis=0)
-    y /= math.sqrt(np.sum(w ** 2))
-    return y
+def _window(name: str, n: int) -> np.ndarray:
+    """The length-n window scaled to unit energy, so that E|X|^2 of white
+    noise equals the per-sample noise power, in float32."""
+    w = WINDOWS[name](n)
+    return (w / math.sqrt(np.sum(w ** 2))).astype(np.float32)
+
+
+def _range_fft(x: np.ndarray, window: str) -> np.ndarray:
+    """Windowed complex64 FFT over fast time of a cube [n_fast, n_chirps]."""
+    y = np.multiply(x, _window(window, x.shape[0])[:, None], dtype=np.complex64)
+    return fft.fft(y, axis=0, overwrite_x=True)
 
 
 def range_doppler(samples: np.ndarray, window: str = "hann") -> np.ndarray:
     """Windowed 2-D FFT (fast time, then chirps) of an IF cube
-    [n_fast, n_chirps]: the linear power map [range bin, Doppler bin]."""
+    [n_fast, n_chirps]: the float32 linear power map [range bin, Doppler bin]."""
     if window not in WINDOWS:
         raise ConfigurationError(f"unknown window: {window}")
-    w_slow = WINDOWS[window](samples.shape[1])
-    y = _range_fft(samples, WINDOWS[window](samples.shape[0]))
-    y *= w_slow
-    np.fft.fft(y, axis=1, out=y)
-    y /= math.sqrt(np.sum(w_slow ** 2))
+    y = _range_fft(samples, window)
+    y *= _window(window, samples.shape[1])
+    y = fft.fft(y, axis=1, overwrite_x=True)
     return np.fft.fftshift(np.abs(y) ** 2, axes=1)
 
 
@@ -43,8 +51,8 @@ def zero_doppler_bin(power: np.ndarray) -> int:
 
 
 def range_chirp(samples: np.ndarray) -> np.ndarray:
-    """Power after the Hann-windowed range FFT only: [range bin, chirp]."""
-    return np.abs(_range_fft(samples, np.hanning(samples.shape[0]))) ** 2
+    """Float32 power after the Hann-windowed range FFT only: [range bin, chirp]."""
+    return np.abs(_range_fft(samples, "hann")) ** 2
 
 
 def noise_floor(power: np.ndarray, exclusion=None) -> float:

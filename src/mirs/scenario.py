@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import NamedTuple, Optional, get_type_hints
 
 import numpy as np
@@ -446,24 +446,52 @@ def scenario_to_dict(s: Scenario) -> dict:
     }
 
 
-def scenario_from_dict(d: dict) -> Scenario:
-    vs, tgt = d["vehicles"], d["reference_target"]
-    radars = _table(RADAR_COLUMNS, [
-        _radar_row(i, j, r) for i, v in enumerate(vs)
-        for j, r in enumerate(v["radars"])])
+def _record(cls, d: dict, what: str):
+    """cls(**d), naming an unknown key of d."""
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigurationError(f"unknown {what} key {unknown[0]!r}")
+    return cls(**d)
+
+
+def scenario_from_dict(d: dict, source: str = "scenario") -> Scenario:
+    """The scene of a scenario_to_dict mapping.  A missing or unknown key, or
+    a value of the wrong kind, raises ConfigurationError naming `source`."""
+    try:
+        vs, tgt = d["vehicles"], d["reference_target"]
+        radars = _table(RADAR_COLUMNS, [
+            _radar_row(i, j, r) for i, v in enumerate(vs)
+            for j, r in enumerate(v["radars"])])
+        ids = [v["id"] for v in vs]
+        if d["host_vehicle_id"] not in ids:
+            raise ConfigurationError("host_vehicle_id names no vehicle")
+        host = ids.index(d["host_vehicle_id"])
+        # a scene before install_radars has no radars and host_radar_index 0
+        n = int(np.count_nonzero(radars["vehicle"] == host))
+        if (type(d["host_radar_index"]) is not int
+                or not 0 <= d["host_radar_index"] < max(n, 1)):
+            raise ConfigurationError(f"host_radar_index is not one of the "
+                                     f"host's {n} radars")
+        if type(d["duration"]) not in (int, float) or not d["duration"] > 0:
+            raise ConfigurationError("duration must be a positive number")
+        scen = Scenario(
+            geometry=_record(RoadGeometry, d["geometry"], "geometry"),
+            vehicles=_table(VEHICLE_COLUMNS, [
+                (v["id"], v["kind"], *v["center"], v["heading"], v["speed"],
+                 v["width"], v["length"], v["lane"]) for v in vs]),
+            radars=radars, host=host, host_radar_index=d["host_radar_index"],
+            reference_target=_record(
+                ReferenceTarget, {**tgt, "position": tuple(tgt["position"])},
+                "reference_target"),
+            duration=d["duration"],
+            density_label=d["density_label"],
+        )
+    except KeyError as e:
+        raise ConfigurationError(f"{source}: missing key {e}") from None
+    except (TypeError, ValueError, IndexError) as e:
+        raise ConfigurationError(f"{source}: {e}") from None
     check_waveform_rows(radars)
-    return Scenario(
-        geometry=RoadGeometry(**d["geometry"]),
-        vehicles=_table(VEHICLE_COLUMNS, [
-            (v["id"], v["kind"], *v["center"], v["heading"], v["speed"],
-             v["width"], v["length"], v["lane"]) for v in vs]),
-        radars=radars, host=[v["id"] for v in vs].index(d["host_vehicle_id"]),
-        host_radar_index=d["host_radar_index"],
-        reference_target=ReferenceTarget(
-            **{**tgt, "position": tuple(tgt["position"])}),
-        duration=d["duration"],
-        density_label=d["density_label"],
-    )
+    return scen
 
 
 def save_scenario(s: Scenario, path):
@@ -473,4 +501,8 @@ def save_scenario(s: Scenario, path):
 
 def load_scenario(path) -> Scenario:
     with open(path) as f:
-        return scenario_from_dict(json.load(f))
+        try:
+            d = json.load(f)
+        except ValueError as e:
+            raise ConfigurationError(f"{path} is not valid JSON: {e}") from None
+    return scenario_from_dict(d, str(path))

@@ -322,3 +322,53 @@ def test_bad_radar_of_a_scenario_file_fails_before_any_dwell(
     rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
     assert rc == 1
     assert capsys.readouterr().err == f"error: {why}\n"
+
+
+def _drop_dither_bound(d):
+    del d["vehicles"][1]["radars"][0]["dither_bound"]
+    return json.dumps(d)
+
+
+def _unknown_geometry_key(d):
+    d["geometry"]["lanes"] = 4
+    return json.dumps(d)
+
+
+def _truncated(d):
+    text = json.dumps(d)
+    return text[:len(text) // 2]
+
+
+def _edit(**top):
+    return lambda d: json.dumps({**d, **top})
+
+
+@pytest.mark.parametrize("edit, why", [
+    (_drop_dither_bound, ": missing key 'dither_bound'"),
+    (_unknown_geometry_key, ": unknown geometry key 'lanes'"),
+    (_truncated, " is not valid JSON: "),
+    (_edit(host_vehicle_id=-7), ": host_vehicle_id names no vehicle"),
+    (_edit(host_radar_index=1), ": host_radar_index is not one of the host's "
+                                "1 radars"),
+    (_edit(duration="10 s"), ": duration must be a positive number"),
+], ids=["missing_dither_bound", "unknown_geometry_key", "truncated_json",
+        "unknown_host_vehicle", "host_radar_index_out_of_range",
+        "duration_not_a_number"])
+def test_malformed_scenario_file_fails_before_any_dwell(
+        tmp_path, capsys, monkeypatch, edit, why):
+    scene = tmp_path / "scene.json"
+    assert main(["generate-scenario", "--density", "low", "--topology",
+                 "front", "--host-type", "LRR", "--out", str(scene)]) == 0
+    scene.write_text(edit(json.loads(scene.read_text())))
+
+    def no_dwell(*args, **kwargs):
+        raise AssertionError("a dwell was simulated")
+    monkeypatch.setattr("mirs.harness.simulate_dwell", no_dwell)
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(f"scenario_file: {scene}\nn_dwells: 1\n")
+    capsys.readouterr()
+    rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {scene}{why}")
+    assert err.count("\n") == 1 and "Traceback" not in err

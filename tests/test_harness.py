@@ -6,10 +6,12 @@ from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
+import scipy
 import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mirs
 from mirs.errors import ConfigurationError
 from mirs.harness import (HOST_ORDER, HOST_TARGET_RANGE, PENETRATION_GRID,
                           RADAR_A, RunConfig, _rates_per_task, build_scene,
@@ -443,6 +445,11 @@ def test_metadata_embeds_parameters():
     for key in ("cfar_pfa", "noise_figure_db", "technique", "n_bands",
                 "density", "host_type"):
         assert f"# {key}=" in joined
+    # provenance: the versions the results were computed with
+    for key, version in (("mirs", mirs.__version__),
+                         ("numpy", np.__version__),
+                         ("scipy", scipy.__version__)):
+        assert f"# {key}_version={version}" in head
 
 
 def test_layouts():

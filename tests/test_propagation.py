@@ -16,12 +16,12 @@ from mirs.propagation import (CONCRETE_INDEX, PATH_DTYPE, PATH_KINDS,
                               MaterialModel, PathKind, echo_power,
                               fresnel_reflection, one_way_gain, paths,
                               segments_blocked, vehicle_rects)
-from mirs.scenario import (Polarization, RoadGeometry, Topology,
-                           generate_highway, install_radars, scenario_from_dict,
-                           scenario_to_dict)
+from mirs.scenario import (Polarization, RadarInstance, RoadGeometry,
+                           Topology, generate_highway, install_radars,
+                           scenario_from_dict, scenario_to_dict)
 from mirs.synthesis import (can_beat_in_band, chirp_times_in_window,
                             host_chirp_times)
-from mirs.waveform import RadarType
+from mirs.waveform import ClockModel, RadarType, WaveformConfig
 from scene_objects import ObjVehicle, objects_from_scene, scene_dict
 
 
@@ -577,3 +577,48 @@ def test_build_emitters_matches_scalar_reference(scenes, dwell):
         assert e.waveform == wf
         assert e.amplitude == amp
         assert np.array_equal(e.chirp_times, chirps)
+
+
+def test_build_emitters_prefilters_on_the_drifted_waveform():
+    # Two rear radars of the car ahead face the host's front radar.  Each
+    # carrier sits 100 Hz inside (radar 0) or outside (radar 1) the edge of
+    # the in-band prefilter of its drifted waveform, d + s Ti + (hs - s) Th
+    # >= 0 for s <= hs.  Prefiltering on an undrifted slope or chirp
+    # duration, or both, moves that sum by at least |f - 1| s (Th - Ti)
+    # (1.6 kHz here, f the drift factor), and flips both verdicts.
+    host_wf = WaveformConfig(
+        pri=27.4e-6, slope=26e12, chirp_duration=18.88e-6, carrier=76.889e9,
+        n_chirps=64, fps=15.0, n_elements=12, tx_power=0.01,
+        element_gain=25.0, adc_rate=25e6)
+    hs, th = host_wf.slope, host_wf.chirp_duration
+    s, ti = 20e12, 15e-6
+    radars = []
+    for drift, margin in ((-20.0, 100.0), (20.0, -100.0)):
+        f = 1.0 + drift * 1e-6
+        # the carrier whose drifted sum is `margin`
+        carrier = (hs * th + s * ti - s * f * th + host_wf.carrier - margin) / f
+        r = RadarInstance(
+            mount=(-2.5, 0.0), boresight=math.pi,
+            fov_halfwidth=math.radians(60.0), radar_type=RadarType.SRR,
+            waveform=replace(host_wf, slope=s, chirp_duration=ti,
+                             carrier=carrier),
+            clock=ClockModel(drift_ppm=drift))
+        undrifted = replace(r.drifted(), slope=s, chirp_duration=ti)
+        assert can_beat_in_band(host_wf, r.drifted()) == (margin > 0)
+        assert can_beat_in_band(host_wf, undrifted) == (margin < 0)
+        radars.append(r)
+    g = RoadGeometry()
+    hr = RadarInstance(mount=(2.5, 0.0), boresight=0.0,
+                       fov_halfwidth=math.radians(15.0),
+                       radar_type=RadarType.LRR, waveform=host_wf,
+                       clock=ClockModel(drift_ppm=0.0))
+    host = ObjVehicle(id=0, kind="car", center=(500.0, g.lane_center(1)),
+                      heading=0.0, speed=30.0, width=2.0, length=5.0, lane=1,
+                      radars=(hr,))
+    ahead = replace(host, id=1, center=(560.0, g.lane_center(1)),
+                    radars=tuple(radars))
+    snap = scenario_from_dict(scene_dict([host, ahead], SMALL_SCENE))
+    times = host_chirp_times(host_wf, 0)
+    got = build_emitters(snap, host.radar_world_position(hr), 0.0, hr,
+                         host_wf, times[0], times[-1] + th, (7, 0))
+    assert {e.key[:2] for e in got} == {(1, 0)}
