@@ -34,9 +34,9 @@ from .propagation import (PATH_KINDS, PathKind, echo_power, one_way_gain,
 from .scenario import (CAR_SIZE, CLOCK_DRIFT_PPM, RadarInstance, Scenario,
                        Topology, advance, assign_penetration, generate_highway,
                        install_radars, load_scenario, radar_layout)
-from .synthesis import (Emitter, TargetEcho, ThermalModel, can_beat_in_band,
-                        chirp_times_in_window, host_chirp_times,
-                        synthesize_dwell, write_cube)
+from .synthesis import (Emitter, TargetEcho, ThermalModel, add_emitters,
+                        can_beat_in_band, chirp_times_in_window,
+                        host_chirp_times, synthesize_dwell, write_cube)
 from .waveform import (DEFAULT_ADC_RATE_HZ, WAVEFORM_RANGES, ClockModel,
                        RadarType, WaveformConfig, apply_clock_drift,
                        sample_waveform)
@@ -648,24 +648,40 @@ def _free_space_rx(wf_i: WaveformConfig, pos) -> float:
             * (lam / (4 * math.pi * L)) ** 2)
 
 
-def chamber_cube(specs, seed: int, seed_index: int, dwell_index: int):
-    """One free-space chamber dwell cube of the RADAR_A host with one
-    interferer per (waveform, position) in `specs`."""
+def chamber_cubes(specs, counts, seed: int, seed_index: int,
+                  dwell_index: int):
+    """Free-space chamber dwell cubes of the RADAR_A host: for each count c
+    of the ascending `counts`, (c, the cube with one interferer per
+    (waveform, position) of specs[:c]).
+
+    All counts share the dwell's noise draw and emitters: the one running
+    cube gains each count's new interferers in place, so a yielded cube is
+    valid only until the next one is asked for.
+    """
     host_times = host_chirp_times(RADAR_A, dwell_index)
     t0, t1 = host_times[0], host_times[-1] + RADAR_A.chirp_duration
-    emitters = []
-    for wf, pos in specs:
+    emitters = []   # one per spec, None where it cannot beat in band
+    for wf, pos in specs[:counts[-1]]:
         p_rx = _free_space_rx(wf, pos)
         if p_rx <= 0.0 or not can_beat_in_band(RADAR_A, wf):
+            emitters.append(None)
             continue
         delay = math.hypot(*pos) / C0
         times = chirp_times_in_window(wf, t0 - delay, t1 - delay)
         emitters.append(Emitter(waveform=wf, amplitude=math.sqrt(p_rx),
                                 chirp_times=times + delay))
-    noise_rng = np.random.default_rng(np.random.SeedSequence(
-        [seed, seed_index, NOISE_TAG, dwell_index]))
-    return synthesize_dwell(RADAR_A, host_times, [], emitters, RADAR_A_NOISE,
-                            noise_rng)
+    cube, done = None, 0
+    for count in counts:
+        new = [em for em in emitters[done:count] if em is not None]
+        if cube is None:
+            noise_rng = np.random.default_rng(np.random.SeedSequence(
+                [seed, seed_index, NOISE_TAG, dwell_index]))
+            cube = synthesize_dwell(RADAR_A, host_times, [], new,
+                                    RADAR_A_NOISE, noise_rng)
+        else:
+            add_emitters(cube, RADAR_A, host_times, new)
+        done = count
+        yield count, cube
 
 
 def run_anechoic_analog(n_interferers: int = 30, layout=None, counts=None,
@@ -673,7 +689,8 @@ def run_anechoic_analog(n_interferers: int = 30, layout=None, counts=None,
     """Mean noise floor of the RADAR_A host versus number of active co-band
     USRR interferers, free space.
 
-    Interferers activate in layout order; returns {count: mean floor dB}.
+    Interferers activate in layout order; returns {count: mean floor dB} in
+    the order of `counts`.
     """
     _check_at_least((("n_interferers", n_interferers, 0),
                      ("n_seeds", n_seeds, 1), ("n_dwells", n_dwells, 1),
@@ -683,21 +700,24 @@ def run_anechoic_analog(n_interferers: int = 30, layout=None, counts=None,
         raise ConfigurationError("layout smaller than n_interferers")
     if counts is None:
         counts = sorted({0, n_interferers} | set(range(0, n_interferers + 1, 5)))
+    if any(isinstance(c, bool) or not isinstance(c, (int, np.integer))
+           for c in counts):
+        raise ConfigurationError(f"counts must be integers: {tuple(counts)}")
     if not counts or min(counts) < 0 or max(counts) > n_interferers:
         raise ConfigurationError(f"counts must lie in [0, {n_interferers}]")
 
     per_dwell = {count: [] for count in counts}
+    ascending = sorted(per_dwell)
     for s in range(n_seeds):
         rng = np.random.default_rng(
             np.random.SeedSequence([seed, s, CHAMBER_TAG]))
         specs = []
-        for pos in layout[:max(counts)]:
+        for pos in layout[:ascending[-1]]:
             wf = _chamber_interferer(rng)
             clock = ClockModel(drift_ppm=rng.uniform(-20.0, 20.0))
             specs.append((apply_clock_drift(wf, clock), pos))
-        for count in per_dwell:
-            for d in range(n_dwells):
-                cube = chamber_cube(specs[:count], seed, s, d)
+        for d in range(n_dwells):
+            for count, cube in chamber_cubes(specs, ascending, seed, s, d):
                 rd = range_doppler(cube)
                 per_dwell[count].append(10 ** (noise_floor(rd) / 10.0))
     return {count: 10.0 * math.log10(stable_mean(p))
@@ -724,8 +744,8 @@ def dump_maps(outdir, n_interferers: int = 5, dwell_index: int = 0,
     specs = [(_chamber_interferer(rng), pos)
              for pos in chamber_layout(n_interferers)]
     written = []
-    for tag, count in (("clean", 0), ("interf", n_interferers)):
-        cube = chamber_cube(specs[:count], seed, 0, dwell_index)
+    cubes = chamber_cubes(specs, (0, n_interferers), seed, 0, dwell_index)
+    for tag, (count, cube) in zip(("clean", "interf"), cubes):
         mats = (("time_chirp", cube), ("range_chirp", range_chirp(cube)),
                 ("range_doppler", range_doppler(cube)))
         for name, mat in mats:

@@ -3,7 +3,9 @@
 The maps are computed in single precision from the double IF cube: the cube
 is cast to complex64 in the fast-time window multiply, both FFT passes run
 through scipy.fft in complex64, and the power maps are float32, as are the
-floor median and the CFAR sums taken on them.
+floor median and the CFAR sums taken on them.  The floor median is
+np.median's, bit for bit, from one single-kth selection in a copy of the map
+(a NaN anywhere gives a NaN floor).
 
 Window power is normalized so that a pure-noise floor level is invariant to
 the window choice; the Doppler axis is fftshifted so zero Doppler sits at bin
@@ -56,19 +58,32 @@ def range_chirp(samples: np.ndarray) -> np.ndarray:
 
 
 def noise_floor(power: np.ndarray, exclusion=None) -> float:
-    """Median map level in dB, robust to sparse target/interference peaks.
+    """Median map level in dB, robust to sparse target/interference peaks;
+    NaN if the map holds a NaN.
 
     exclusion: a (rows, columns) index pair, as target_exclusion_cells
     returns, of the cells to leave out.
+
+    The median is np.median's, bit for bit, from one selection in a copy of
+    the cells: the middle value, or for an even count the mean (np.mean, in
+    the map's precision) of the two middle values.
     """
-    vals = power
-    if exclusion is not None:
+    if exclusion is None:
+        vals = power.flatten()
+    else:
         mask = np.ones(power.shape, dtype=bool)
         mask[exclusion] = False
         vals = power[mask]
     if vals.size == 0:
         raise ConfigurationError("all cells excluded")
-    return 10.0 * math.log10(np.median(vals))
+    k = vals.size // 2
+    vals.partition(k)
+    if math.isnan(vals[k:].max()):  # NaN sorts last
+        return math.nan
+    lo = k - 1 + vals.size % 2
+    if lo < k:
+        vals[lo] = vals[:k].max()
+    return 10.0 * math.log10(np.mean(vals[lo:k + 1]))
 
 
 def target_exclusion_cells(power: np.ndarray, range_bin: int, doppler_bin: int,

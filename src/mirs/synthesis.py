@@ -133,41 +133,67 @@ def interferer_arrivals(host_wf: WaveformConfig, host_times: np.ndarray,
     return k[ok], tau[ok]
 
 
-def add_beats(cube: np.ndarray, host_wf: WaveformConfig, emitter: Emitter,
-              ks: np.ndarray, taus: np.ndarray, lpf_gating: bool):
-    """Accumulate one emitter's beat bursts, one per arrival (ks[b], taus[b]),
-    into the cube columns ks."""
+def add_beats(cube: np.ndarray, host_wf: WaveformConfig, emitters, arrivals,
+              lpf_gating: bool):
+    """Accumulate the beat bursts of live emitters into the cube: one burst
+    per arrival (ks[b], taus[b]) of each emitter's (ks, taus) in `arrivals`,
+    in emitter order and then arrival order."""
+    if not emitters:
+        return
     fs = host_wf.adc_rate
-    n_fast = cube.shape[0]
-    wf = emitter.waveform
-    f_m = host_wf.carrier - wf.carrier + wf.slope * taus
-    alpha_m = host_wf.slope - wf.slope
+    n_fast, n_chirps = cube.shape
+    n = [ks.size for ks, _ in arrivals]
+    ks = np.concatenate([ks for ks, _ in arrivals])
+    taus = np.concatenate([taus for _, taus in arrivals])
+
+    def column(field):
+        return np.repeat([getattr(em.waveform, field) for em in emitters], n)
+
+    carrier, slope = column("carrier"), column("slope")
+    f_m = host_wf.carrier - carrier + slope * taus
+    alpha_m = host_wf.slope - slope
     # overlap of the two chirps, then of the ADC record
     lo = np.maximum(taus, 0.0)
-    hi = np.minimum(host_wf.chirp_duration, taus + wf.chirp_duration)
+    hi = np.minimum(host_wf.chirp_duration, taus + column("chirp_duration"))
     ok = hi > lo
     hi = np.minimum(hi, n_fast / fs)
     if lpf_gating:
-        # keep instantaneous beat frequencies f_m + alpha_m t inside [0, fs]
-        if alpha_m > 0:
-            lo = np.maximum(lo, (0.0 - f_m) / alpha_m)
-            hi = np.minimum(hi, (fs - f_m) / alpha_m)
-        elif alpha_m < 0:
-            lo = np.maximum(lo, (fs - f_m) / alpha_m)
-            hi = np.minimum(hi, (0.0 - f_m) / alpha_m)
-        else:
-            ok &= (0.0 <= f_m) & (f_m <= fs)
+        # keep instantaneous beat frequencies f_m + alpha_m t inside [0, fs]:
+        # t from (0 - f_m) / alpha_m to (fs - f_m) / alpha_m, swapped for a
+        # falling beat; a constant beat is kept or dropped whole
+        rising = alpha_m > 0
+        sweeps = alpha_m != 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_zero = (0.0 - f_m) / alpha_m
+            t_fs = (fs - f_m) / alpha_m
+        lo = np.where(sweeps, np.maximum(lo, np.where(rising, t_zero, t_fs)), lo)
+        hi = np.where(sweeps, np.minimum(hi, np.where(rising, t_fs, t_zero)), hi)
+        ok &= sweeps | ((0.0 <= f_m) & (f_m <= fs))
         ok &= hi > lo
     m0 = np.clip(np.ceil(lo * fs - 1e-9), 0, n_fast).astype(np.int64)
     m1 = np.clip(np.floor(hi * fs + 1e-9) + 1, 0, n_fast).astype(np.int64)
     burst, m = _runs(m0, np.where(ok, np.maximum(m1 - m0, 0), 0))
     t = m / fs
-    phase = wf.carrier * taus - 0.5 * wf.slope * taus * taus
-    cycles = f_m[burst] * t + 0.5 * alpha_m * t * t + phase[burst]
-    # chirps of one emitter never overlap, so a cell is hit at most once
-    # except where two bursts share an edge sample; add.at keeps both adds
-    np.add.at(cube, (m, ks[burst]),
-              emitter.amplitude * np.exp(2j * np.pi * (cycles % 1.0)))
+    phase = carrier * taus - 0.5 * slope * taus * taus
+    cycles = f_m[burst] * t + 0.5 * alpha_m[burst] * t * t + phase[burst]
+    amplitude = np.repeat([em.amplitude for em in emitters], n)[burst]
+    # chirps of one emitter never overlap, so within an emitter a cell is hit
+    # twice only where two bursts share an edge sample; add.at makes every
+    # add, in order
+    np.add.at(cube.reshape(-1), m * n_chirps + ks[burst],
+              amplitude * np.exp(2j * np.pi * (cycles % 1.0)))
+
+
+def add_emitters(cube: np.ndarray, host_wf: WaveformConfig,
+                 host_times: np.ndarray, emitters, lpf_gating: bool = True):
+    """Accumulate the beat bursts of every emitter with a positive amplitude
+    into the cube, then reject a cube with non-finite samples."""
+    live = [em for em in emitters if em.amplitude > 0.0]
+    add_beats(cube, host_wf, live,
+              [interferer_arrivals(host_wf, host_times, em) for em in live],
+              lpf_gating)
+    if not np.all(np.isfinite(cube)):
+        raise ConfigurationError("non-finite IF samples")
 
 
 def synthesize_dwell(host_wf: WaveformConfig, host_times: np.ndarray,
@@ -200,12 +226,7 @@ def synthesize_dwell(host_wf: WaveformConfig, host_times: np.ndarray,
         tone = math.sqrt(tgt.power) * np.exp(2j * np.pi * f_b * t_fast)
         cube += tone[:, None]
 
-    for em in emitters:
-        if em.amplitude > 0.0:
-            ks, taus = interferer_arrivals(host_wf, host_times, em)
-            add_beats(cube, host_wf, em, ks, taus, lpf_gating)
-    if not np.all(np.isfinite(cube)):
-        raise ConfigurationError("non-finite IF samples")
+    add_emitters(cube, host_wf, host_times, emitters, lpf_gating)
     return cube
 
 

@@ -119,7 +119,6 @@ def chamber_floors():
                                seed=0)
 
 
-@pytest.mark.slow
 def test_criterion_05_field_rise():
     floors = run_anechoic_analog(n_interferers=15, layout=field_layout(),
                                  counts=(0, 15), n_seeds=10, n_dwells=50,
@@ -129,7 +128,6 @@ def test_criterion_05_field_rise():
                 f"(target 6.5 +/- 1.5)", 5.0 <= rise <= 8.0)
 
 
-@pytest.mark.slow
 def test_criterion_06_chamber_progression(chamber_floors):
     f = chamber_floors
     r5, r15, r30 = (f[5] - f[0], f[15] - f[0], f[30] - f[0])

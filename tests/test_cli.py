@@ -228,7 +228,7 @@ def test_bad_argument_fails_before_any_dwell(tmp_path, capsys, monkeypatch,
     def no_dwell(*args, **kwargs):
         raise AssertionError("a scene or a chamber dwell was built")
     monkeypatch.setattr("mirs.harness.build_scene", no_dwell)
-    monkeypatch.setattr("mirs.harness.chamber_cube", no_dwell)
+    monkeypatch.setattr("mirs.harness.chamber_cubes", no_dwell)
     monkeypatch.setenv("MIRS_OUTPUT_DIR", str(tmp_path / "out"))
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 1

@@ -473,6 +473,31 @@ def test_anechoic_analog_quick_monotone():
                             n_dwells=1)
 
 
+def test_anechoic_counts_share_dwells_exactly():
+    # counts share each dwell's noise and emitters; every floor must equal
+    # that of a run with its count alone
+    kw = dict(n_interferers=30, n_seeds=2, n_dwells=2, seed=3)
+    alone = {c: run_anechoic_analog(counts=(c,), **kw)[c] for c in (0, 5, 15, 30)}
+    assert run_anechoic_analog(counts=(0, 5, 15, 30), **kw) == alone
+    got = run_anechoic_analog(counts=(30, 0, 5), **kw)
+    assert list(got) == [30, 0, 5]
+    assert got == {c: alone[c] for c in (30, 0, 5)}
+    got = run_anechoic_analog(counts=(5, 0, 5, 30, 0), **kw)
+    assert list(got) == [5, 0, 30]
+    assert got == {c: alone[c] for c in (5, 0, 30)}
+
+
+@pytest.mark.parametrize("counts", [(0, 2.5), (0, True), (False, 2), (0, "2"),
+                                    (0, 2.0)])
+def test_anechoic_rejects_counts_that_are_not_integers(monkeypatch, counts):
+    def no_dwell(*args, **kwargs):
+        raise AssertionError("a chamber dwell was built")
+    monkeypatch.setattr("mirs.harness.chamber_cubes", no_dwell)
+    with pytest.raises(ConfigurationError, match="counts must be integers"):
+        run_anechoic_analog(n_interferers=4, counts=counts, n_seeds=1,
+                            n_dwells=1)
+
+
 def test_dump_maps_files_and_round_trip(tmp_path):
     paths = dump_maps(str(tmp_path), n_interferers=2)
     assert len(paths) == 6

@@ -109,6 +109,68 @@ def test_floor_exclusion_matches_cell_list_at_corners(shape):
             assert noise_floor(rd, exclusion=excl) == cell_list_floor(rd, rb, db)
 
 
+# few distinct levels make ties likely; 0, +inf and NaN are the edge values
+MAP_LEVELS = st.one_of(
+    st.sampled_from([0.0, 1.0, 2.5, 1e-30, math.inf, math.nan]),
+    st.floats(0.0, 1e6, width=32))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_noise_floor_equals_log_median_bit_for_bit(data):
+    shape = (data.draw(st.integers(1, 9), label="rows"),
+             data.draw(st.integers(1, 9), label="columns"))
+    rd = np.array(data.draw(st.lists(MAP_LEVELS, min_size=shape[0] * shape[1],
+                                     max_size=shape[0] * shape[1]),
+                            label="cells"),
+                  dtype=np.float32).reshape(shape)
+    excl = None
+    if data.draw(st.booleans(), label="exclusion"):
+        excl = target_exclusion_cells(
+            rd, data.draw(st.integers(0, shape[0] - 1), label="range bin"),
+            data.draw(st.integers(0, shape[1] - 1), label="Doppler bin"),
+            halo=data.draw(st.integers(0, 2), label="halo"))
+    before = rd.copy()
+    vals = rd if excl is None else rd[_kept(rd.shape, excl)]
+    if vals.size == 0:
+        with pytest.raises(ConfigurationError):
+            noise_floor(rd, exclusion=excl)
+        return
+    want = _outcome(lambda: 10.0 * math.log10(np.median(vals)))
+    got = _outcome(lambda: noise_floor(rd, exclusion=excl))
+    if isinstance(want, float) and math.isnan(want):
+        assert isinstance(got, float) and math.isnan(got)
+    else:
+        assert got == want
+        assert not isinstance(want, float) or want.hex() == got.hex()
+    # the caller's map, which CFAR and target SNR read next, is untouched
+    assert np.array_equal(rd, before, equal_nan=True)
+
+
+def _kept(shape, exclusion):
+    mask = np.ones(shape, dtype=bool)
+    mask[exclusion] = False
+    return mask
+
+
+def _outcome(f):
+    """f()'s value, or the type of the error it raised (log10 of a zero
+    median raises)."""
+    try:
+        return f()
+    except ValueError as e:
+        return type(e)
+
+
+def test_noise_floor_of_a_map_with_nan_is_nan():
+    rd = np.ones((8, 8), dtype=np.float32)
+    for cell in ((0, 0), (4, 4), (7, 7)):
+        m = rd.copy()
+        m[cell] = np.nan
+        assert math.isnan(noise_floor(m))
+        assert math.isnan(noise_floor(m, exclusion=(slice(1, 2), np.arange(2))))
+
+
 def test_cfar_detects_strong_tone():
     cube, _ = tone_cube(range_bin=200, power=1e-9)
     rd = range_doppler(cube)

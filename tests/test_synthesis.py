@@ -32,7 +32,8 @@ def beats(host, intf, taus, lpf_gating=True):
     cube = np.zeros((host.n_fast, 1), dtype=complex)
     taus = np.asarray(taus, dtype=float)
     em = Emitter(waveform=intf, amplitude=1.0, chirp_times=np.empty(0))
-    add_beats(cube, host, em, np.zeros(taus.size, dtype=int), taus, lpf_gating)
+    add_beats(cube, host, [em], [(np.zeros(taus.size, dtype=int), taus)],
+              lpf_gating)
     return cube[:, 0]
 
 
@@ -334,3 +335,130 @@ def test_synthesize_dwell_rejects_nonfinite():
         synthesize_dwell(HOST, host_times,
                          [TargetEcho(power=math.inf, range_m=120.0)], [],
                          quiet_noise(), np.random.default_rng(0))
+
+
+# ---------------------------------------------------------------------------
+# batched bursts against the per-emitter loop they replaced
+
+def oracle_add_beats(cube, host_wf, emitter, ks, taus, lpf_gating):
+    """One emitter's bursts, scattered with a tuple-indexed np.add.at."""
+    fs = host_wf.adc_rate
+    n_fast = cube.shape[0]
+    wf = emitter.waveform
+    f_m = host_wf.carrier - wf.carrier + wf.slope * taus
+    alpha_m = host_wf.slope - wf.slope
+    lo = np.maximum(taus, 0.0)
+    hi = np.minimum(host_wf.chirp_duration, taus + wf.chirp_duration)
+    ok = hi > lo
+    hi = np.minimum(hi, n_fast / fs)
+    if lpf_gating:
+        if alpha_m > 0:
+            lo = np.maximum(lo, (0.0 - f_m) / alpha_m)
+            hi = np.minimum(hi, (fs - f_m) / alpha_m)
+        elif alpha_m < 0:
+            lo = np.maximum(lo, (fs - f_m) / alpha_m)
+            hi = np.minimum(hi, (0.0 - f_m) / alpha_m)
+        else:
+            ok &= (0.0 <= f_m) & (f_m <= fs)
+        ok &= hi > lo
+    m0 = np.clip(np.ceil(lo * fs - 1e-9), 0, n_fast).astype(np.int64)
+    m1 = np.clip(np.floor(hi * fs + 1e-9) + 1, 0, n_fast).astype(np.int64)
+    burst = np.repeat(np.arange(taus.size), np.where(ok, np.maximum(m1 - m0, 0), 0))
+    m = np.concatenate([np.arange(m0[b], m1[b]) for b in range(taus.size)
+                        if ok[b] and m1[b] > m0[b]] or [np.empty(0, dtype=np.int64)])
+    t = m / fs
+    phase = wf.carrier * taus - 0.5 * wf.slope * taus * taus
+    cycles = f_m[burst] * t + 0.5 * alpha_m * t * t + phase[burst]
+    np.add.at(cube, (m, ks[burst]),
+              emitter.amplitude * np.exp(2j * np.pi * (cycles % 1.0)))
+
+
+def oracle_dwell(host_wf, host_times, emitters, noise_rng, lpf_gating):
+    """synthesize_dwell's noise cube plus the per-emitter loop."""
+    cube = synthesize_dwell(host_wf, host_times, [], [], quiet_noise(),
+                            noise_rng)
+    for em in emitters:
+        if em.amplitude > 0.0:
+            ks, taus = interferer_arrivals(host_wf, host_times, em)
+            oracle_add_beats(cube, host_wf, em, ks, taus, lpf_gating)
+    return cube
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# interferer slopes at, below and above the host's: alpha_m 0, > 0 and < 0
+SLOPE_FACTORS = st.sampled_from([1.0, 0.7, 1.3, 1.0 + 1e-9])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_batched_add_beats_matches_per_emitter_loop(data):
+    host = replace(HOST, n_chirps=data.draw(st.integers(1, 6), label="host chirps"))
+    host_times = host_chirp_times(host, 0)
+    emitters = []
+    for i in range(data.draw(st.integers(0, 4), label="emitters")):
+        t_i = data.draw(st.floats(1e-6, 20e-6), label="intf chirp")
+        wf = replace(host, chirp_duration=t_i,
+                     pri=t_i * data.draw(st.sampled_from([1.0, 1.5, 2.0]),
+                                         label="intf duty"),
+                     slope=host.slope * data.draw(SLOPE_FACTORS, label="slope"),
+                     carrier=host.carrier + data.draw(st.floats(-40e6, 40e6),
+                                                      label="carrier offset"))
+        start = host_times[0] + data.draw(st.floats(-30e-6, 30e-6), label="start")
+        times = start + np.arange(data.draw(st.integers(0, 30), label="n")) * wf.pri
+        amp = data.draw(st.sampled_from([0.0, 1e-6, 1.0, 3.7]), label="amplitude")
+        emitters.append(Emitter(waveform=wf, amplitude=amp, chirp_times=times))
+    lpf = data.draw(st.booleans(), label="lpf gating")
+    seed = data.draw(st.integers(0, 2 ** 16), label="noise seed")
+
+    got = synthesize_dwell(host, host_times, [], emitters, quiet_noise(),
+                           np.random.default_rng(seed), lpf_gating=lpf)
+    want = oracle_dwell(host, host_times, emitters, np.random.default_rng(seed),
+                        lpf)
+    assert same_bits(got, want)
+
+    # add_beats itself, zero-amplitude emitters included, into an empty cube
+    arrivals = [interferer_arrivals(host, host_times, em) for em in emitters]
+    got = np.zeros((host.n_fast, host.n_chirps), dtype=complex)
+    add_beats(got, host, emitters, arrivals, lpf)
+    want = np.zeros_like(got)
+    for em, (ks, taus) in zip(emitters, arrivals):
+        oracle_add_beats(want, host, em, ks, taus, lpf)
+    assert same_bits(got, want)
+
+
+def test_batched_add_beats_adds_a_shared_edge_sample_twice():
+    # back-to-back interferer chirps 4 us long (100 samples at 25 MHz) on the
+    # sample grid: the first burst ends on the sample where the next starts
+    host = replace(HOST, n_chirps=2)
+    host_times = host_chirp_times(host, 0)
+    wf = replace(host, chirp_duration=4e-6, pri=4e-6, slope=host.slope * 1.3,
+                 carrier=host.carrier + 10e6)
+    taus = np.array([2e-6, 6e-6])
+    one = [beats(host, wf, [tau], lpf_gating=False) for tau in taus]
+    assert np.count_nonzero((one[0] != 0) & (one[1] != 0)) == 1
+    emitters = [Emitter(waveform=wf, amplitude=1.0,
+                        chirp_times=host_times[0] + taus),
+                Emitter(waveform=replace(wf, carrier=host.carrier + 3e6),
+                        amplitude=0.5, chirp_times=host_times[1] + taus)]
+    for lpf in (False, True):
+        got = synthesize_dwell(host, host_times, [], emitters, quiet_noise(),
+                               np.random.default_rng(1), lpf_gating=lpf)
+        want = oracle_dwell(host, host_times, emitters,
+                            np.random.default_rng(1), lpf)
+        assert same_bits(got, want)
+
+
+def test_add_beats_without_emitters_leaves_the_cube():
+    host_times = host_chirp_times(HOST, 0)
+    cube = synthesize_dwell(HOST, host_times, [], [], quiet_noise(),
+                            np.random.default_rng(2))
+    before = cube.copy()
+    add_beats(cube, HOST, [], [], True)
+    assert same_bits(cube, before)
+    silent = Emitter(waveform=HOST, amplitude=0.0, chirp_times=host_times)
+    got = synthesize_dwell(HOST, host_times, [], [silent], quiet_noise(),
+                           np.random.default_rng(2))
+    assert same_bits(got, before)
