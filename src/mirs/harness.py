@@ -31,15 +31,14 @@ from .processing import (WINDOWS, ca_cfar, noise_floor, range_chirp,
                          target_snr_db, zero_doppler_bin)
 from .propagation import (PATH_KINDS, PathKind, echo_power, one_way_gain,
                           paths, vehicle_rects)
-from .scenario import (CAR_SIZE, CLOCK_DRIFT_PPM, RadarInstance, Scenario,
-                       Topology, advance, assign_penetration, generate_highway,
-                       install_radars, load_scenario, radar_layout)
+from .scenario import (CAR_SIZE, CLOCK_DRIFT_PPM, Scenario, Topology, advance,
+                       assign_penetration, generate_highway, install_radars,
+                       load_scenario, radar_layout)
 from .synthesis import (Emitter, TargetEcho, ThermalModel, add_emitters,
                         can_beat_in_band, chirp_times_in_window,
                         host_chirp_times, synthesize_dwell, write_cube)
-from .waveform import (DEFAULT_ADC_RATE_HZ, WAVEFORM_RANGES, ClockModel,
-                       RadarType, WaveformConfig, apply_clock_drift,
-                       sample_waveform)
+from .waveform import (DEFAULT_ADC_RATE_HZ, WAVEFORM_RANGES, RadarType,
+                       WaveformConfig, apply_clock_drift, sample_waveform)
 
 # rng substream tags (arbitrary distinct constants)
 SCEN_TAG = 0x5C3E
@@ -117,6 +116,8 @@ class RunConfig:
 
     def __post_init__(self):
         rates = tuple(self.penetration_rates)
+        if not rates:
+            raise ConfigurationError("penetration_rates must not be empty")
         if list(rates) != sorted(rates) or any(not 0 <= r <= 1 for r in rates):
             raise ConfigurationError("penetration rates must be sorted within [0, 1]")
         _check_at_least((name, getattr(self, name), least) for name, least in (
@@ -347,8 +348,9 @@ def prepare_scene(cfg: RunConfig, seed_index: int, rate: float,
 
 def dwell_schedule(cfg: RunConfig, scen: Scenario):
     """(n_dwells, frame_period) for the host radar of a prepared scene."""
-    hr = scen.host_radar
-    frame_p = hr.tf_slot[3] if hr.tf_slot is not None else 1.0 / hr.waveform.fps
+    row = scen.host_row
+    slot = scen.tf_slot(row)
+    frame_p = slot[3] if slot else 1.0 / scen.radars["fps"][row].item()
     n_max = max(1, int(scen.duration / frame_p))
     n = min(cfg.n_dwells, n_max) if cfg.n_dwells > 0 else n_max
     return n, frame_p
@@ -371,11 +373,12 @@ RADAR_ROW = np.dtype([("vehicle", np.intp), ("radar", np.intp)] + [
                          "chirp_duration")])
 
 
-def build_emitters(snap: Scenario, host_pos, host_bore, hr: RadarInstance,
+def build_emitters(snap: Scenario, host_pos, host_bore, host_row: int,
                    host_wf: WaveformConfig, t0: float, t1: float,
                    seed_key) -> list:
     """One Emitter per interferer radar and unblocked, in-sector propagation
-    path, in (vehicle, radar, path kind) order."""
+    path, in (vehicle, radar, path kind) order, at the host radar (row
+    `host_row` of the radar table, drifted waveform `host_wf`)."""
     v, r = snap.vehicles, snap.radars
     rows = np.flatnonzero(r["vehicle"] != snap.host)
     if not rows.size:
@@ -389,9 +392,9 @@ def build_emitters(snap: Scenario, host_pos, host_bore, hr: RadarInstance,
          r["carrier"][rows] * f, r["slope"][rows] * f,
          r["chirp_duration"][rows] / f), dtype=RADAR_ROW)
     tx = table[can_beat_in_band(host_wf, table)]
-    p = paths(tx, host_pos, host_bore, hr.fov_halfwidth, snap.host,
-              vehicle_rects(v), snap.geometry)
-    gains = one_way_gain(p, tx, hr.waveform.rx_gain)
+    p = paths(tx, host_pos, host_bore, r["fov_halfwidth"][host_row],
+              snap.host, vehicle_rects(v), snap.geometry)
+    gains = one_way_gain(p, tx, host_wf.rx_gain)
     live = p[~p.blocked]
     out = []
     last = -1
@@ -404,16 +407,16 @@ def build_emitters(snap: Scenario, host_pos, host_bore, hr: RadarInstance,
         delay = length / C0
         if row != last:       # the radar's first path sets its chirp window
             last = row
-            radar = snap.radar(row)
             key = (int(v["id"][r["vehicle"][row]]), int(r["index"][row]))
-            wf_i = radar.drifted()
+            wf_i = snap.waveform(row)
             times = chirp_times_in_window(
-                wf_i, t0 - delay, t1 - delay, tf_slot=radar.tf_slot,
-                dither_bound=radar.dither_bound,
+                wf_i, t0 - delay, t1 - delay, tf_slot=snap.tf_slot(row),
+                dither_bound=r["dither_bound"][row].item(),
                 dither_seed=tuple(seed_key) + key)
         if times.size == 0:
             continue
-        g *= cross_pol_factor(radar.polarization, hr.polarization,
+        g *= cross_pol_factor(r["polarization"][row],
+                              r["polarization"][host_row],
                               reflected=kind is not PathKind.DIRECT)
         out.append(Emitter(
             waveform=wf_i, amplitude=math.sqrt(wf_i.tx_power * g),
@@ -427,22 +430,23 @@ def simulate_dwell(cfg: RunConfig, scen: Scenario, seed_index: int,
     """One host dwell of a prepared scene.
 
     `reuse`, if given, holds the interference-free dwells of one
-    (cfg, seed_index), keyed on all that such a dwell reads of its scene:
-    the dwell index, the advanced host vehicle, its radar, the host radar
-    index and the reference target.  A dwell whose emitter list is
-    empty returns the result stored under its key, or computes and stores it.
+    (cfg, seed_index), keyed on all that such a dwell is computed from
+    besides them: the dwell index (the noise stream), the host's drifted
+    waveform (chirp count, slope, ADC rate), the target's echo power and its
+    range.  A dwell whose emitter list is empty returns the result stored
+    under its key, or computes and stores it.
     """
     snap = advance(scen, dwell_index * frame_p)
-    host_v = snap.vehicle(snap.host)
-    row = snap.host_row
-    hr = snap.radar(row)
+    r, row = snap.radars, snap.host_row
     x, y, host_bore = (a.item() for a in snap.radar_poses(row))
     host_pos = (x, y)
-    host_wf = hr.drifted()
+    host_wf = snap.waveform(row)
 
     host_times = host_chirp_times(
-        host_wf, dwell_index, tf_slot=hr.tf_slot, dither_bound=hr.dither_bound,
-        dither_seed=(cfg.seed, seed_index, host_v.id, snap.host_radar_index))
+        host_wf, dwell_index, tf_slot=snap.tf_slot(row),
+        dither_bound=r["dither_bound"][row].item(),
+        dither_seed=(cfg.seed, seed_index, snap.host_vehicle_id,
+                     snap.host_radar_index))
 
     # reference target rides along with the host (zero radial speed), placed
     # on the host radar's boresight so every host class can see it
@@ -450,15 +454,16 @@ def simulate_dwell(cfg: RunConfig, scen: Scenario, seed_index: int,
     tgt_range = math.hypot(*tgt.position)
     tgt_pos = (host_pos[0] + tgt_range * math.cos(host_bore),
                host_pos[1] + tgt_range * math.sin(host_bore))
-    p_echo = echo_power(hr, host_pos, host_bore, tgt_pos, tgt.rcs)
+    p_echo = echo_power(host_wf, r["fov_halfwidth"][row], host_pos, host_bore,
+                        tgt_pos, tgt.rcs)
     targets = [TargetEcho(power=p_echo, range_m=tgt_range)] if p_echo > 0 else []
 
     t0, t1 = host_times[0], host_times[-1] + host_wf.chirp_duration
-    emitters = build_emitters(snap, host_pos, host_bore, hr, host_wf, t0, t1,
+    emitters = build_emitters(snap, host_pos, host_bore, row, host_wf, t0, t1,
                               (cfg.seed, seed_index))
     key = None
     if reuse is not None and not emitters:
-        key = (dwell_index, host_v, hr, snap.host_radar_index, tgt)
+        key = (dwell_index, host_wf, p_echo, tgt_range)
         if key in reuse:
             return reuse[key]
 
@@ -714,8 +719,8 @@ def run_anechoic_analog(n_interferers: int = 30, layout=None, counts=None,
         specs = []
         for pos in layout[:ascending[-1]]:
             wf = _chamber_interferer(rng)
-            clock = ClockModel(drift_ppm=rng.uniform(-20.0, 20.0))
-            specs.append((apply_clock_drift(wf, clock), pos))
+            drift = rng.uniform(-20.0, 20.0)
+            specs.append((apply_clock_drift(wf, drift), pos))
         for d in range(n_dwells):
             for count, cube in chamber_cubes(specs, ascending, seed, s, d):
                 rd = range_doppler(cube)

@@ -102,9 +102,9 @@ def apply_predefined_polarization(scenario: Scenario) -> Scenario:
         forward, Polarization.V.value, Polarization.H.value)})
 
 
-def cross_pol_factor(tx_pol: Polarization, rx_pol: Polarization,
-                     reflected: bool) -> float:
-    """Linear power factor applied to an interference path at the receiver."""
+def cross_pol_factor(tx_pol: str, rx_pol: str, reflected: bool) -> float:
+    """Linear power factor applied to an interference path at the receiver,
+    from the two radars' polarization values ("V" or "H")."""
     if tx_pol == rx_pol:
         return 1.0
     db = CROSS_POL_REFLECTED_DB if reflected else CROSS_POL_DIRECT_DB

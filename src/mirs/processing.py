@@ -153,11 +153,9 @@ def target_detected(detections: np.ndarray, range_bin: int, doppler_bin: int,
 def target_snr_db(power: np.ndarray, range_bin: int, doppler_bin: int,
                   floor_db: float, gate: int = 2) -> float:
     """Peak power in the association gate over the given floor, in dB."""
-    n_range, n_doppler = power.shape
-    r0 = max(0, range_bin - gate)
-    r1 = min(n_range, range_bin + gate + 1)
-    cols = [(doppler_bin + o) % n_doppler for o in range(-gate, gate + 1)]
-    peak = power[r0:r1][:, cols].max()
+    rows, cols = target_exclusion_cells(power, range_bin, doppler_bin,
+                                        halo=gate)
+    peak = power[rows][:, cols].max()
     return 10.0 * math.log10(peak) - floor_db
 
 

@@ -15,7 +15,8 @@ import numpy as np
 from scipy.constants import c as C0
 
 from .errors import ConfigurationError
-from .scenario import RadarInstance, RoadGeometry
+from .scenario import RoadGeometry
+from .waveform import WaveformConfig
 
 CONCRETE_INDEX = 2.52 - 0.076j
 BOX_MARGIN = 1e-6         # bounding-box slack of the blockage prefilter [m]
@@ -175,9 +176,10 @@ def one_way_gain(p, tx, rx_gain: float) -> np.ndarray:
     return np.array(out)
 
 
-def echo_power(radar: RadarInstance, radar_pos, radar_boresight,
-               target_pos, rcs: float) -> float:
-    """Two-way radar-equation receive power; zero outside the FOV.
+def echo_power(wf: WaveformConfig, fov_halfwidth: float, radar_pos,
+               radar_boresight, target_pos, rcs: float) -> float:
+    """Two-way radar-equation receive power of a radar with the drifted
+    waveform `wf`; zero outside the FOV.
 
     ERP = P_t * n_el * g_el (matches a 35 dBm ERP front LRR), receive gain
     n_el * g_el.
@@ -186,9 +188,8 @@ def echo_power(radar: RadarInstance, radar_pos, radar_boresight,
     if R <= 0:
         raise ConfigurationError("target coincides with the radar")
     ang = math.atan2(target_pos[1] - radar_pos[1], target_pos[0] - radar_pos[0])
-    if not _in_sector(ang, radar_boresight, radar.fov_halfwidth):
+    if not _in_sector(ang, radar_boresight, fov_halfwidth):
         return 0.0
-    wf = radar.drifted()
     lam = C0 / wf.carrier
     return (wf.erp * wf.rx_gain * lam ** 2 * rcs
             / ((4 * math.pi) ** 3 * R ** 4))

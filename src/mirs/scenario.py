@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional, get_type_hints
 import numpy as np
 
 from .errors import ConfigurationError
-from .waveform import (WAVEFORM_FIELDS, ClockModel, RadarType, WaveformConfig,
+from .waveform import (WAVEFORM_FIELDS, RadarType, WaveformConfig,
                        apply_clock_drift, check_waveform_rows, draw_uniform,
                        draw_waveform)
 
@@ -79,25 +79,6 @@ class RoadGeometry:
         return (-self.half_width, self.half_width)
 
 
-@dataclass(frozen=True)
-class RadarInstance:
-    """One radar as a record, built from a row of a scene's radar table
-    where a consumer needs one (Scenario.radar)."""
-    mount: tuple          # (x, y) in the vehicle frame, on the footprint perimeter
-    boresight: float      # relative to vehicle heading [rad]
-    fov_halfwidth: float
-    radar_type: RadarType
-    waveform: WaveformConfig
-    clock: ClockModel
-    polarization: Polarization = Polarization.V
-    band_assignment: Optional[tuple] = None   # (f_lo, f_hi) [Hz]
-    tf_slot: Optional[tuple] = None           # (band_idx, slot_idx, n_slots, frame_period, sync_offset)
-    dither_bound: float = 0.0                 # per-chirp start jitter bound [s]
-
-    def drifted(self) -> WaveformConfig:
-        return apply_clock_drift(self.waveform, self.clock)
-
-
 class Vehicle(NamedTuple):
     """One row of a scene's vehicle table."""
     id: int
@@ -112,8 +93,9 @@ class Vehicle(NamedTuple):
 
 
 # Column dtypes of the two scene tables, in row-tuple order.  A radar row
-# holds its vehicle's row, its index among that vehicle's radars, its record
-# fields, and RadarInstance.tf_slot's five fields (tf_n_slots 0: no slot).
+# holds its vehicle's row, its index among that vehicle's radars, its pose in
+# the vehicle frame, its undrifted waveform and drift, and the technique
+# columns (tf_n_slots 0: no TF slot).
 VEHICLE_COLUMNS = get_type_hints(Vehicle)
 RADAR_COLUMNS = dict(
     vehicle=int, index=int, mount_x=float, mount_y=float, boresight=float,
@@ -167,10 +149,6 @@ class Scenario:
         on_host = np.flatnonzero(self.radars["vehicle"] == self.host)
         return int(on_host[self.host_radar_index])
 
-    @property
-    def host_radar(self) -> RadarInstance:
-        return self.radar(self.host_row)
-
     def radar_poses(self, rows):
         """World x, y and boresight of the radars in `rows` of the radar
         table: the mount rotated by the vehicle heading (0 or pi, so a sign
@@ -186,21 +164,21 @@ class Scenario:
     def vehicle(self, i: int) -> Vehicle:
         return Vehicle(*(c[i].item() for c in self.vehicles.values()))
 
-    def radar(self, i: int) -> RadarInstance:
-        r = {k: c[i].item() for k, c in self.radars.items()}
-        band = (r["band_lo"], r["band_hi"])
-        tf = tuple(r[k] for k in ("tf_band", "tf_slot", "tf_n_slots",
-                                  "tf_frame", "tf_sync"))
-        return RadarInstance(
-            mount=(r["mount_x"], r["mount_y"]), boresight=r["boresight"],
-            fov_halfwidth=r["fov_halfwidth"],
-            radar_type=RadarType(r["radar_type"]),
-            waveform=WaveformConfig(*(r[k] for k in WAVEFORM_FIELDS)),
-            clock=ClockModel(drift_ppm=r["drift_ppm"]),
-            polarization=Polarization(r["polarization"]),
-            band_assignment=None if math.isnan(band[0]) else band,
-            tf_slot=tf if r["tf_n_slots"] else None,
-            dither_bound=r["dither_bound"])
+    def waveform(self, i: int) -> WaveformConfig:
+        """The waveform of radar row `i`, its clock drift applied."""
+        r = self.radars
+        return apply_clock_drift(
+            WaveformConfig(*(r[k][i].item() for k in WAVEFORM_FIELDS)),
+            r["drift_ppm"][i].item())
+
+    def tf_slot(self, i: int) -> Optional[tuple]:
+        """(band, slot, n_slots, frame period, sync offset) of radar row `i`
+        on the TF-coding grid, or None."""
+        r = self.radars
+        if not r["tf_n_slots"][i]:
+            return None
+        return tuple(r[k][i].item() for k in (
+            "tf_band", "tf_slot", "tf_n_slots", "tf_frame", "tf_sync"))
 
 
 def _vehicle_dims(kind: str):
@@ -403,16 +381,18 @@ def advance(scenario: Scenario, t: float) -> Scenario:
 # ---------------------------------------------------------------------------
 # serialization (bit-exact replay: every drawn quantity is stored)
 
-def _radar_dict(r: RadarInstance):
+def _radar_dict(s: Scenario, i: int):
+    r = {k: c[i].item() for k, c in s.radars.items()}
+    tf = s.tf_slot(i)
     return {
-        "mount": list(r.mount), "boresight": r.boresight,
-        "fov_halfwidth": r.fov_halfwidth, "radar_type": r.radar_type.value,
-        "waveform": {k: getattr(r.waveform, k) for k in WAVEFORM_FIELDS},
-        "drift_ppm": r.clock.drift_ppm,
-        "polarization": r.polarization.value,
-        "band_assignment": list(r.band_assignment) if r.band_assignment else None,
-        "tf_slot": list(r.tf_slot) if r.tf_slot else None,
-        "dither_bound": r.dither_bound,
+        "mount": [r["mount_x"], r["mount_y"]], "boresight": r["boresight"],
+        "fov_halfwidth": r["fov_halfwidth"], "radar_type": r["radar_type"],
+        "waveform": {k: r[k] for k in WAVEFORM_FIELDS},
+        "drift_ppm": r["drift_ppm"], "polarization": r["polarization"],
+        "band_assignment": (None if math.isnan(r["band_lo"])
+                            else [r["band_lo"], r["band_hi"]]),
+        "tf_slot": list(tf) if tf else None,
+        "dither_bound": r["dither_bound"],
     }
 
 
@@ -429,7 +409,7 @@ def _radar_row(i: int, j: int, d) -> tuple:
 def scenario_to_dict(s: Scenario) -> dict:
     radars = [[] for _ in range(s.vehicles["id"].size)]
     for j, i in enumerate(s.radars["vehicle"].tolist()):
-        radars[i].append(_radar_dict(s.radar(j)))
+        radars[i].append(_radar_dict(s, j))
     tgt = s.reference_target
     return {
         "geometry": asdict(s.geometry),

@@ -28,11 +28,10 @@ DITHER_TAG = 0x5D17  # rng substream tag for chirp-timing jitter
 @dataclass(frozen=True)
 class ThermalModel:
     noise_figure_db: float = 12.0
-    temperature: float = T0_KELVIN
 
     def power(self, adc_rate: float) -> float:
-        """Per-sample complex noise power kT * f_s * NF [W]."""
-        return K_B * self.temperature * adc_rate * 10 ** (self.noise_figure_db / 10.0)
+        """Per-sample complex noise power kT * f_s * NF [W] at T0_KELVIN."""
+        return K_B * T0_KELVIN * adc_rate * 10 ** (self.noise_figure_db / 10.0)
 
 
 @dataclass(frozen=True)
@@ -137,9 +136,10 @@ def add_beats(cube: np.ndarray, host_wf: WaveformConfig, emitters, arrivals,
               lpf_gating: bool):
     """Accumulate the beat bursts of live emitters into the cube: one burst
     per arrival (ks[b], taus[b]) of each emitter's (ks, taus) in `arrivals`,
-    in emitter order and then arrival order."""
+    in emitter order and then arrival order.  Returns the flat indices of
+    the cells added to."""
     if not emitters:
-        return
+        return np.empty(0, dtype=np.int64)
     fs = host_wf.adc_rate
     n_fast, n_chirps = cube.shape
     n = [ks.size for ks, _ in arrivals]
@@ -180,20 +180,28 @@ def add_beats(cube: np.ndarray, host_wf: WaveformConfig, emitters, arrivals,
     # chirps of one emitter never overlap, so within an emitter a cell is hit
     # twice only where two bursts share an edge sample; add.at makes every
     # add, in order
-    np.add.at(cube.reshape(-1), m * n_chirps + ks[burst],
+    cells = m * n_chirps + ks[burst]
+    np.add.at(cube.reshape(-1), cells,
               amplitude * np.exp(2j * np.pi * (cycles % 1.0)))
+    return cells
+
+
+def _check_finite(samples: np.ndarray):
+    if not np.all(np.isfinite(samples)):
+        raise ConfigurationError("non-finite IF samples")
 
 
 def add_emitters(cube: np.ndarray, host_wf: WaveformConfig,
                  host_times: np.ndarray, emitters, lpf_gating: bool = True):
     """Accumulate the beat bursts of every emitter with a positive amplitude
-    into the cube, then reject a cube with non-finite samples."""
+    into the cube, then reject a non-finite sample in the cells they
+    touched."""
     live = [em for em in emitters if em.amplitude > 0.0]
-    add_beats(cube, host_wf, live,
-              [interferer_arrivals(host_wf, host_times, em) for em in live],
-              lpf_gating)
-    if not np.all(np.isfinite(cube)):
-        raise ConfigurationError("non-finite IF samples")
+    cells = add_beats(
+        cube, host_wf, live,
+        [interferer_arrivals(host_wf, host_times, em) for em in live],
+        lpf_gating)
+    _check_finite(cube.reshape(-1)[cells])
 
 
 def synthesize_dwell(host_wf: WaveformConfig, host_times: np.ndarray,
@@ -226,6 +234,7 @@ def synthesize_dwell(host_wf: WaveformConfig, host_times: np.ndarray,
         tone = math.sqrt(tgt.power) * np.exp(2j * np.pi * f_b * t_fast)
         cube += tone[:, None]
 
+    _check_finite(cube)
     add_emitters(cube, host_wf, host_times, emitters, lpf_gating)
     return cube
 

@@ -81,15 +81,6 @@ class WaveformConfig:
 WAVEFORM_FIELDS = tuple(f.name for f in fields(WaveformConfig))
 
 
-@dataclass(frozen=True)
-class ClockModel:
-    drift_ppm: float = 0.0
-
-    def __post_init__(self):
-        if not abs(self.drift_ppm) <= 100:   # NaN fails too
-            raise ConfigurationError("clock drift limited to +/-100 ppm")
-
-
 def _dbm(x):
     return 10 ** (x / 10.0) * 1e-3
 
@@ -168,9 +159,9 @@ def sample_waveform(radar_type: RadarType, rng: np.random.Generator,
 
 
 def check_waveform_rows(w) -> None:
-    """WaveformConfig's and ClockModel's checks on every row of the columns
-    `w` (their field names): raise what building the first bad row's
-    records would raise."""
+    """WaveformConfig's checks, and the +/-100 ppm clock-drift bound, on
+    every row of the columns `w` (WAVEFORM_FIELDS and drift_ppm): raise the
+    first bad row's first fault."""
     positive = np.logical_and.reduce(
         [w[k] > 0 for k in WAVEFORM_FIELDS[:-1]])   # False for NaN too
     cd, pri = w["chirp_duration"], w["pri"]
@@ -183,16 +174,16 @@ def check_waveform_rows(w) -> None:
             "dwell does not fit inside a frame":
                 w["n_chirps"] * pri > (1.0 / w["fps"]) * (1 + 1e-12),
             "clock drift limited to +/-100 ppm":
-                ~(np.abs(w["drift_ppm"]) <= 100)}
+                ~(np.abs(w["drift_ppm"]) <= 100)}   # NaN fails too
     bad = np.array(list(faults.values())).reshape(len(faults), -1)
     rows = np.flatnonzero(bad.any(axis=0))
     if rows.size:
         raise ConfigurationError(list(faults)[np.argmax(bad[:, rows[0]])])
 
 
-def apply_clock_drift(cfg: WaveformConfig, clock: ClockModel) -> WaveformConfig:
+def apply_clock_drift(cfg: WaveformConfig, drift_ppm: float) -> WaveformConfig:
     """Scale frequencies up and times down by the same (1 + ppm*1e-6) factor."""
-    f = 1.0 + clock.drift_ppm * 1e-6
+    f = 1.0 + drift_ppm * 1e-6
     if f == 1.0:
         return cfg
     return replace(cfg, carrier=cfg.carrier * f, slope=cfg.slope * f,

@@ -141,6 +141,7 @@ def test_exponent_without_dot_is_a_number(tmp_path):
     ("duration: .inf\n", "bad config value: duration: inf is not a valid float"),
     ("penetration_rates: [0, abc]\n",
      "bad config value: penetration_rates: 'abc' is not a valid float"),
+    ("penetration_rates: []\n", "penetration_rates must not be empty"),
     ("plan: {sync_jitter: 2e-x}\n", "bad config value: sync_jitter"),
     ("plan: 3\n", "bad config key"),
     ("plan: {technique: time_frequency_coding, n_slots: 8}\n",
@@ -178,7 +179,8 @@ def test_exponent_without_dot_is_a_number(tmp_path):
         "negative_n_dwells", "zero_workers", "negative_cfar_guard",
         "short_cfar_train", "zero_cfar_pfa", "unit_cfar_pfa",
         "non_numeric_cfar_pfa", "exponent_n_seeds", "nan_noise_figure",
-        "infinite_duration", "non_numeric_rate", "non_numeric_plan_field",
+        "infinite_duration", "non_numeric_rate", "empty_rates",
+        "non_numeric_plan_field",
         "plan_not_a_mapping", "tf_slot_too_short", "tf_slot_without_offset",
         "tf_slot_without_sync_jitter", "tf_slot_of_topology_lrr",
         "tf_no_slots", "tf_zero_frame_rate", "tf_negative_sync_jitter",
@@ -284,8 +286,8 @@ def test_report_of_a_csv_that_is_not_a_sweep_fails(tmp_path, capsys):
                   "'technique' column\n"
 
 
-# (waveform or clock field, value, message) per WaveformConfig and
-# ClockModel check; the edited radar is vehicle 1's front LRR, whose pri is
+# (waveform or drift field, value, message) per WaveformConfig check and the
+# clock-drift bound; the edited radar is vehicle 1's front LRR, whose pri is
 # 18-20 us, slope 9-11 MHz/us and fps 25-30
 SCENE_EDITS = [
     ("tx_power", 0.0, "waveform fields must be strictly positive"),

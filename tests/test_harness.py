@@ -26,7 +26,6 @@ from mirs.processing import vertical_stripes
 from mirs.scenario import Topology, scenario_from_dict, scenario_to_dict
 from mirs.synthesis import read_cube, synthesize_dwell
 from mirs.waveform import RadarType
-from scene_objects import radar_dict
 
 
 QUICK = dict(density="low", topology=Topology.FRONT, host_type=RadarType.LRR,
@@ -157,7 +156,7 @@ def test_build_scene_installs_expected_radars():
     s = build_scene(cfg, 0)
     counts = np.bincount(s.radars["vehicle"])
     assert counts.tolist() == [1] * s.vehicles["id"].size  # front topology
-    assert s.host_radar.radar_type is RadarType.LRR
+    assert s.radars["radar_type"][s.host_row] == RadarType.LRR.value
     # deterministic in (seed, seed_index), independent across indexes
     assert scenario_to_dict(build_scene(cfg, 0)) == scenario_to_dict(s)
     assert scenario_to_dict(build_scene(cfg, 1)) != scenario_to_dict(s)
@@ -184,7 +183,7 @@ def test_dwell_schedule_caps_and_auto():
     s = prepare_scene(cfg, 0, 0.0)
     n, frame_p = dwell_schedule(cfg, s)
     assert n == 2
-    assert frame_p == pytest.approx(1.0 / s.host_radar.waveform.fps)
+    assert frame_p == pytest.approx(1.0 / s.radars["fps"][s.host_row])
     auto = RunConfig(**{**QUICK, "n_dwells": 0})
     n2, _ = dwell_schedule(auto, s)
     assert n2 == int(s.duration / frame_p)
@@ -305,9 +304,16 @@ def test_dwell_reuse_keys_on_the_dwell_index():
     assert len(reuse) == cfg.n_dwells
 
 
+def _host_radar_dict(s):
+    radars = scenario_to_dict(s)["vehicles"][s.host]["radars"]
+    return radars[s.host_radar_index]
+
+
 def _with_host_radars(s, radars, index=0):
+    """`s` with the host vehicle's radars replaced by the radar dicts
+    `radars`, the host radar being radars[index]."""
     d = scenario_to_dict(s)
-    d["vehicles"][s.host]["radars"] = [radar_dict(r) for r in radars]
+    d["vehicles"][s.host]["radars"] = list(radars)
     return scenario_from_dict({**d, "host_radar_index": index})
 
 
@@ -316,9 +322,9 @@ def _with_host_radars(s, radars, index=0):
 def test_dwell_reuse_keeps_different_hosts_apart(differ):
     cfg = RunConfig(**{**QUICK, "penetration_rates": (0.0,)})
     scene = build_scene(cfg, 0)
-    hr = scene.host_radar
-    other = replace(hr, waveform=replace(hr.waveform,
-                                         n_chirps=hr.waveform.n_chirps // 2))
+    hr = _host_radar_dict(scene)
+    wf = hr["waveform"]
+    other = {**hr, "waveform": {**wf, "n_chirps": wf["n_chirps"] // 2}}
     if differ == "host_radar":
         a, b = scene, _with_host_radars(scene, (other,))
     elif differ == "host_radar_index":   # one host vehicle with two radars
@@ -332,6 +338,24 @@ def test_dwell_reuse_keeps_different_hosts_apart(differ):
     assert len(reuse) == 2 * cfg.n_dwells
     assert got == [run_cell(cfg, 0, 0.0, s) for s in (a, b)]
     assert got[0] != got[1]
+
+
+def test_dwell_reuse_shares_hosts_a_clean_dwell_cannot_tell_apart():
+    # polarization, the dither bound and band edges do not enter an
+    # interference-free dwell: both hosts' dwells share one stored result
+    cfg = RunConfig(**{**QUICK, "penetration_rates": (0.0,)})
+    scene = build_scene(cfg, 0)
+    hr = _host_radar_dict(scene)
+    assert (hr["polarization"], hr["dither_bound"],
+            hr["band_assignment"]) == ("V", 0.0, None)
+    other = _with_host_radars(scene, [{
+        **hr, "polarization": "H", "dither_bound": 1e-6,
+        "band_assignment": [77e9, 78e9]}])
+    reuse = {}
+    got = [run_cell(cfg, 0, 0.0, s, reuse) for s in (scene, other)]
+    assert len(reuse) == cfg.n_dwells
+    alone = [run_cell(cfg, 0, 0.0, s) for s in (scene, other)]
+    assert got == alone and alone[0] == alone[1]
 
 
 def test_dwell_result_is_frozen():

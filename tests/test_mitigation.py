@@ -24,9 +24,9 @@ def rigged_scene(topology=Topology.FULL, density="low", seed=0,
 
 
 def all_radars(s):
-    """(vehicle record, radar record, mount class) per radar row."""
+    """(vehicle record, radar row, mount class) per radar row."""
     classes = mount_class(s.radars).tolist()
-    return [(s.vehicle(i), s.radar(j), classes[j])
+    return [(s.vehicle(i), j, classes[j])
             for j, i in enumerate(s.radars["vehicle"].tolist())]
 
 
@@ -48,19 +48,22 @@ def test_predefined_frequency_band_containment():
     s = rigged_scene()
     out = apply_predefined_frequency(s, np.random.default_rng(1))
     width = BAND_TOTAL_HZ / 4.0
-    for v, r, band in all_radars(out):
+    r = out.radars
+    for v, j, band in all_radars(out):
         lo = BAND_LO_HZ + band * width
-        assert r.band_assignment == (lo, lo + width)
-        wf = r.waveform
-        assert lo <= wf.carrier
-        assert wf.carrier + wf.slope * wf.chirp_duration <= lo + width + 1.0
+        assert (r["band_lo"][j], r["band_hi"][j]) == (lo, lo + width)
+        carrier = r["carrier"][j]
+        assert lo <= carrier
+        assert carrier + r["slope"][j] * r["chirp_duration"][j] \
+            <= lo + width + 1.0
     assert geometry_fingerprint(out) == geometry_fingerprint(s)
 
 
 def test_predefined_frequency_same_placement_same_band():
     s = rigged_scene()
     out = apply_predefined_frequency(s, np.random.default_rng(1))
-    fronts = [r.band_assignment for v, r, c in all_radars(out) if c == 0]
+    fronts = [(out.radars["band_lo"][j], out.radars["band_hi"][j])
+              for v, j, c in all_radars(out) if c == 0]
     assert len(set(fronts)) == 1
 
 
@@ -69,13 +72,13 @@ def test_disjoint_bands_cannot_beat():
     # reachability test rules out any in-band beat
     s = rigged_scene()
     out = apply_predefined_frequency(s, np.random.default_rng(2))
-    host_r = out.host_radar
+    host_wf = out.waveform(out.host_row)
     assert mount_class(out.radars)[out.host_row] == 0
     checked = 0
-    for v, r, c in all_radars(out):
+    for v, j, c in all_radars(out):
         if v.id == out.host_vehicle_id or c == 0:
             continue
-        assert not can_beat_in_band(host_r.drifted(), r.drifted())
+        assert not can_beat_in_band(host_wf, out.waveform(j))
         checked += 1
     assert checked > 0
 
@@ -83,17 +86,17 @@ def test_disjoint_bands_cannot_beat():
 def test_predefined_polarization_by_direction():
     s = rigged_scene()
     out = apply_predefined_polarization(s)
-    for v, r, _ in all_radars(out):
+    for v, j, _ in all_radars(out):
         want = Polarization.V if math.cos(v.heading) > 0 else Polarization.H
-        assert r.polarization is want
+        assert out.radars["polarization"][j] == want.value
     assert geometry_fingerprint(out) == geometry_fingerprint(s)
 
 
 def test_cross_pol_factors():
-    assert cross_pol_factor(Polarization.V, Polarization.V, False) == 1.0
-    assert cross_pol_factor(Polarization.H, Polarization.H, True) == 1.0
-    direct = cross_pol_factor(Polarization.V, Polarization.H, False)
-    refl = cross_pol_factor(Polarization.V, Polarization.H, True)
+    assert cross_pol_factor("V", "V", False) == 1.0
+    assert cross_pol_factor("H", "H", True) == 1.0
+    direct = cross_pol_factor("V", "H", False)
+    refl = cross_pol_factor("V", "H", True)
     assert 10 * math.log10(direct) == pytest.approx(-15.0)
     assert 10 * math.log10(refl) == pytest.approx(-5.0)
     assert refl > direct
@@ -102,9 +105,9 @@ def test_cross_pol_factors():
 def test_time_dithering_sets_bound_and_validates():
     s = rigged_scene()
     out = apply_time_dithering(s, 2e-6)
-    for v, r, _ in all_radars(out):
-        assert r.dither_bound == 2e-6
-        assert r.dither_bound + r.waveform.chirp_duration <= r.waveform.pri
+    r = out.radars
+    assert np.all(r["dither_bound"] == 2e-6)
+    assert np.all(r["dither_bound"] + r["chirp_duration"] <= r["pri"])
     assert geometry_fingerprint(out) == geometry_fingerprint(s)
     with pytest.raises(ConfigurationError):
         apply_time_dithering(s, 20e-6)  # breaks chirp timing for some draw
@@ -122,15 +125,16 @@ def test_tf_coding_assignment_and_containment():
                                       rng=np.random.default_rng(3),
                                       frame_rate=15.0)
     seen = set()
-    for v, r, _ in all_radars(out):
-        band, slot, n_slots, frame_p, sync = r.tf_slot
+    r = out.radars
+    for v, j, _ in all_radars(out):
+        band, slot, n_slots, frame_p, sync = out.tf_slot(j)
         assert 0 <= band < 8 and 0 <= slot < 6
         assert n_slots == 6 and frame_p == pytest.approx(1 / 15.0)
         assert sync == 0.0
-        assert r.waveform.dwell_duration <= frame_p / n_slots
-        lo, hi = r.band_assignment
-        wf = r.waveform
-        assert lo <= wf.carrier and wf.carrier + wf.sweep_bandwidth <= hi + 1.0
+        assert r["n_chirps"][j] * r["pri"][j] <= frame_p / n_slots
+        lo, hi, carrier = r["band_lo"][j], r["band_hi"][j], r["carrier"][j]
+        assert lo <= carrier
+        assert carrier + r["slope"][j] * r["chirp_duration"][j] <= hi + 1.0
         seen.add((v.id, band, slot))
     # rank assignment: with 48 resources and 49 radars exactly one pair
     # collides by pigeonhole
@@ -154,20 +158,21 @@ def test_tf_coding_orthogonality_eliminates_overlap():
     out = apply_time_frequency_coding(s, n_bands=64, n_slots=6,
                                       rng=np.random.default_rng(4),
                                       frame_rate=15.0)
-    hr = out.host_radar
-    host_wf = hr.drifted()
+    host_wf = out.waveform(out.host_row)
+    host_slot = out.tf_slot(out.host_row)
     for d in range(3):
-        ht = host_chirp_times(host_wf, d, tf_slot=hr.tf_slot)
+        ht = host_chirp_times(host_wf, d, tf_slot=host_slot)
         t0, t1 = ht[0], ht[-1] + host_wf.chirp_duration
-        for v, r, _ in all_radars(out):
+        for v, j, _ in all_radars(out):
+            slot = out.tf_slot(j)
             if v.id == out.host_vehicle_id:
                 continue
-            if r.tf_slot[:2] == hr.tf_slot[:2]:
+            if slot[:2] == host_slot[:2]:
                 continue  # same resource cell would collide legitimately
-            if r.tf_slot[0] != hr.tf_slot[0]:
+            if slot[0] != host_slot[0]:
                 continue  # different band: frequency-orthogonal anyway
-            times = chirp_times_in_window(r.drifted(), t0, t1,
-                                          tf_slot=r.tf_slot)
+            times = chirp_times_in_window(out.waveform(j), t0, t1,
+                                          tf_slot=slot)
             assert times.size == 0
 
 

@@ -292,6 +292,24 @@ def test_target_snr_db():
     assert low < snr - 10.0
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_target_snr_gate_is_the_wrapped_block(data):
+    # the gate is the +/-gate block, truncated in range and wrapped in
+    # Doppler, as a list of wrapped columns gives it, at the map edges too
+    n_r = data.draw(st.integers(1, 40))
+    n_d = data.draw(st.integers(1, 24))
+    gate = data.draw(st.integers(0, 4))
+    rb = data.draw(st.integers(0, n_r - 1))
+    db = data.draw(st.integers(0, n_d - 1))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    rd = rng.exponential(size=(n_r, n_d)).astype(np.float32)
+    cols = [(db + o) % n_d for o in range(-gate, gate + 1)]
+    peak = rd[max(0, rb - gate):min(n_r, rb + gate + 1)][:, cols].max()
+    assert target_snr_db(rd, rb, db, 1.5, gate) == \
+        10.0 * math.log10(peak) - 1.5
+
+
 def test_doppler_gate_wraps():
     d = np.array([[10, 63]])
     assert target_detected(d, 10, 0, 64, gate=2)

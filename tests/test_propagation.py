@@ -16,13 +16,13 @@ from mirs.propagation import (CONCRETE_INDEX, PATH_DTYPE, PATH_KINDS,
                               MaterialModel, PathKind, echo_power,
                               fresnel_reflection, one_way_gain, paths,
                               segments_blocked, vehicle_rects)
-from mirs.scenario import (Polarization, RadarInstance, RoadGeometry,
+from mirs.scenario import (Polarization, RoadGeometry,
                            Topology, generate_highway, install_radars,
                            scenario_from_dict, scenario_to_dict)
 from mirs.synthesis import (can_beat_in_band, chirp_times_in_window,
                             host_chirp_times)
-from mirs.waveform import ClockModel, RadarType, WaveformConfig
-from scene_objects import ObjVehicle, objects_from_scene, scene_dict
+from mirs.waveform import RadarType, WaveformConfig
+from scene_objects import ObjRadar, ObjVehicle, objects_from_scene, scene_dict
 
 
 def oracle_fresnel(theta, n):
@@ -308,8 +308,9 @@ def test_paths_blockage_flag():
 
 def host_radar_instance(radar_type=RadarType.LRR, seed=0):
     rng = np.random.default_rng(seed)
-    s = generate_highway("low", rng=rng)
-    return install_radars(s, Topology.FRONT, radar_type, rng).host_radar
+    s = install_radars(generate_highway("low", rng=rng), Topology.FRONT,
+                       radar_type, rng)
+    return objects_from_scene(s)[s.host].radars[s.host_radar_index]
 
 
 def link(r, tx_bore, rx_bore, tx=(100.0, -5.0), rx=(200.0, -5.0)):
@@ -392,11 +393,11 @@ def test_one_way_gain_rejects_blocked_path():
 
 def test_echo_power_fourth_power_law():
     r = host_radar_instance()
-    p1 = echo_power(r, (0.0, 0.0), 0.0, (100.0, 0.0), 10.0)
-    p2 = echo_power(r, (0.0, 0.0), 0.0, (200.0, 0.0), 10.0)
+    wf = r.drifted()
+    p1 = echo_power(wf, r.fov_halfwidth, (0.0, 0.0), 0.0, (100.0, 0.0), 10.0)
+    p2 = echo_power(wf, r.fov_halfwidth, (0.0, 0.0), 0.0, (200.0, 0.0), 10.0)
     assert p1 / p2 == pytest.approx(16.0, rel=1e-12)
     # radar equation hand calculation
-    wf = r.drifted()
     lam = C0 / wf.carrier
     want = wf.erp * wf.rx_gain * lam ** 2 * 10.0 / ((4 * math.pi) ** 3 * 100.0 ** 4)
     assert p1 == pytest.approx(want, rel=1e-12)
@@ -404,9 +405,11 @@ def test_echo_power_fourth_power_law():
 
 def test_echo_power_fov_and_blockage():
     r = host_radar_instance()
-    assert echo_power(r, (0.0, 0.0), 0.0, (-100.0, 0.0), 10.0) == 0.0
+    wf = r.drifted()
+    assert echo_power(wf, r.fov_halfwidth, (0.0, 0.0), 0.0, (-100.0, 0.0),
+                      10.0) == 0.0
     with pytest.raises(ConfigurationError):
-        echo_power(r, (0.0, 0.0), 0.0, (0.0, 0.0), 10.0)
+        echo_power(wf, r.fov_halfwidth, (0.0, 0.0), 0.0, (0.0, 0.0), 10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +486,8 @@ def ref_emitters(vehicles, host, geometry, host_pos, host_bore, hr, host_wf,
                 lam = C0 / wf.carrier
                 g = (r.waveform.rx_gain * hr.waveform.rx_gain * abs(coeff) ** 2
                      * (lam / (4 * math.pi * length)) ** 2)
-                g *= cross_pol_factor(r.polarization, hr.polarization,
+                g *= cross_pol_factor(r.polarization.value,
+                                      hr.polarization.value,
                                       reflected=kind is not PathKind.DIRECT)
                 delay = length / C0
                 if times is None:
@@ -561,17 +565,19 @@ def test_build_emitters_matches_scalar_reference(scenes, dwell):
     vehicles, snap = scenes
     host_v = vehicles[0]
     hr = host_v.radars[0]
-    assert snap.host == 0 and snap.host_radar == hr
+    assert snap.host == 0 and snap.host_row == 0
+    assert objects_from_scene(snap) == vehicles
     host_pos = host_v.radar_world_position(hr)
     host_bore = host_v.radar_world_boresight(hr)
     assert [a.item() for a in snap.radar_poses(snap.host_row)] == \
         [*host_pos, host_bore]
     host_wf = hr.drifted()
+    assert snap.waveform(0) == host_wf and snap.tf_slot(0) == hr.tf_slot
     times = host_chirp_times(host_wf, dwell, tf_slot=hr.tf_slot)
     t0, t1 = times[0], times[-1] + host_wf.chirp_duration
-    args = (host_pos, host_bore, hr, host_wf, t0, t1, (7, dwell))
-    got = build_emitters(snap, *args)
-    want = ref_emitters(vehicles, 0, snap.geometry, *args)
+    args = (host_pos, host_bore, host_wf, t0, t1, (7, dwell))
+    got = build_emitters(snap, *args[:2], snap.host_row, *args[2:])
+    want = ref_emitters(vehicles, 0, snap.geometry, *args[:2], hr, *args[2:])
     assert [e.key for e in got] == [w[:3] for w in want]
     for e, (_, _, _, wf, amp, chirps) in zip(got, want):
         assert e.waveform == wf
@@ -597,21 +603,20 @@ def test_build_emitters_prefilters_on_the_drifted_waveform():
         f = 1.0 + drift * 1e-6
         # the carrier whose drifted sum is `margin`
         carrier = (hs * th + s * ti - s * f * th + host_wf.carrier - margin) / f
-        r = RadarInstance(
+        r = ObjRadar(
             mount=(-2.5, 0.0), boresight=math.pi,
             fov_halfwidth=math.radians(60.0), radar_type=RadarType.SRR,
             waveform=replace(host_wf, slope=s, chirp_duration=ti,
                              carrier=carrier),
-            clock=ClockModel(drift_ppm=drift))
+            drift_ppm=drift)
         undrifted = replace(r.drifted(), slope=s, chirp_duration=ti)
         assert can_beat_in_band(host_wf, r.drifted()) == (margin > 0)
         assert can_beat_in_band(host_wf, undrifted) == (margin < 0)
         radars.append(r)
     g = RoadGeometry()
-    hr = RadarInstance(mount=(2.5, 0.0), boresight=0.0,
-                       fov_halfwidth=math.radians(15.0),
-                       radar_type=RadarType.LRR, waveform=host_wf,
-                       clock=ClockModel(drift_ppm=0.0))
+    hr = ObjRadar(mount=(2.5, 0.0), boresight=0.0,
+                  fov_halfwidth=math.radians(15.0), radar_type=RadarType.LRR,
+                  waveform=host_wf)
     host = ObjVehicle(id=0, kind="car", center=(500.0, g.lane_center(1)),
                       heading=0.0, speed=30.0, width=2.0, length=5.0, lane=1,
                       radars=(hr,))
@@ -619,6 +624,7 @@ def test_build_emitters_prefilters_on_the_drifted_waveform():
                     radars=tuple(radars))
     snap = scenario_from_dict(scene_dict([host, ahead], SMALL_SCENE))
     times = host_chirp_times(host_wf, 0)
-    got = build_emitters(snap, host.radar_world_position(hr), 0.0, hr,
-                         host_wf, times[0], times[-1] + th, (7, 0))
+    got = build_emitters(snap, host.radar_world_position(hr), 0.0,
+                         snap.host_row, host_wf, times[0], times[-1] + th,
+                         (7, 0))
     assert {e.key[:2] for e in got} == {(1, 0)}

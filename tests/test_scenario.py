@@ -131,9 +131,8 @@ def test_install_radars_and_host():
     rng = np.random.default_rng(0)
     s = install_radars(make_scene("low", seed=0), Topology.FULL,
                        RadarType.LRR, rng)
-    host = s.host_radar
     assert radar_counts(s)[s.host] == 1
-    assert host.radar_type is RadarType.LRR
+    assert s.radars["radar_type"][s.host_row] == RadarType.LRR.value
     assert all(n == 7 for i, n in enumerate(radar_counts(s)) if i != s.host)
     # every radar's index counts up from 0 on its own vehicle
     for i in range(s.vehicles["id"].size):
@@ -185,7 +184,8 @@ def test_penetration_binomial():
     pen0 = assign_penetration(base, 0.0, np.random.default_rng(1))
     assert not any(equipped(pen0))
     assert radar_counts(pen0)[pen0.host] == 1  # host keeps its radar regardless
-    assert pen0.host_radar == base.host_radar
+    assert scenario_to_dict(pen0)["vehicles"][pen0.host]["radars"] == \
+        scenario_to_dict(base)["vehicles"][base.host]["radars"]
     pen1 = assign_penetration(base, 1.0, np.random.default_rng(1))
     assert all(equipped(pen1))
     assert scenario_to_dict(pen1) == scenario_to_dict(base)

@@ -19,12 +19,12 @@ from hypothesis import strategies as st
 from mirs import harness as H
 from mirs.errors import ConfigurationError
 from mirs.mitigation import BAND_LO_HZ, BAND_TOTAL_HZ, MitigationPlan, Technique
-from mirs.scenario import (CLOCK_DRIFT_PPM, FOV_HALFWIDTH, Polarization, RadarInstance, Topology,
+from mirs.scenario import (CLOCK_DRIFT_PPM, FOV_HALFWIDTH, Polarization, Topology,
                            generate_highway, radar_layout, scenario_from_dict,
                            scenario_to_dict)
-from mirs.waveform import (DEFAULT_ADC_RATE_HZ, WAVEFORM_RANGES, ClockModel,
+from mirs.waveform import (DEFAULT_ADC_RATE_HZ, WAVEFORM_RANGES,
                            RadarType, WaveformConfig, sample_waveform)
-from scene_objects import objects_from_scene, scene_dict
+from scene_objects import ObjRadar, objects_from_scene, scene_dict
 
 
 # ---------------------------------------------------------------------------
@@ -54,10 +54,10 @@ def ref_sample_waveform(radar_type, rng):
 
 def ref_make_radar(radar_type, mount, boresight, rng):
     wf = ref_sample_waveform(radar_type, rng)
-    clock = ClockModel(drift_ppm=rng.uniform(-CLOCK_DRIFT_PPM, CLOCK_DRIFT_PPM))
-    return RadarInstance(mount=mount, boresight=boresight,
-                         fov_halfwidth=FOV_HALFWIDTH[radar_type],
-                         radar_type=radar_type, waveform=wf, clock=clock)
+    drift = rng.uniform(-CLOCK_DRIFT_PPM, CLOCK_DRIFT_PPM)
+    return ObjRadar(mount=mount, boresight=boresight,
+                    fov_halfwidth=FOV_HALFWIDTH[radar_type],
+                    radar_type=radar_type, waveform=wf, drift_ppm=drift)
 
 
 def ref_mount_class(radar):

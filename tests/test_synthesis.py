@@ -11,7 +11,7 @@ from scipy.constants import k as K_B
 
 from mirs.errors import ConfigurationError
 from mirs.synthesis import (Emitter, TargetEcho, ThermalModel,
-                            add_beats, can_beat_in_band,
+                            add_beats, add_emitters, can_beat_in_band,
                             chirp_times_in_window, host_chirp_times,
                             interferer_arrivals, read_cube, synthesize_dwell,
                             write_cube)
@@ -335,6 +335,30 @@ def test_synthesize_dwell_rejects_nonfinite():
         synthesize_dwell(HOST, host_times,
                          [TargetEcho(power=math.inf, range_m=120.0)], [],
                          quiet_noise(), np.random.default_rng(0))
+    loud = Emitter(waveform=HOST, amplitude=math.inf,
+                   chirp_times=host_times + 1e-7)
+    with pytest.raises(ConfigurationError, match="non-finite IF samples"), \
+            np.errstate(invalid="ignore"):
+        synthesize_dwell(HOST, host_times, [], [loud], quiet_noise(),
+                         np.random.default_rng(0))
+
+
+def test_add_emitters_checks_the_cells_it_touched():
+    # synthesize_dwell has checked every cell before; add_emitters checks
+    # the cells its bursts add to, and only those
+    host_times = host_chirp_times(HOST, 0)
+    cube = synthesize_dwell(HOST, host_times, [], [], quiet_noise(),
+                            np.random.default_rng(3))
+    em = Emitter(waveform=HOST, amplitude=1.0,
+                 chirp_times=host_times[:1] + 1e-7)
+    hit = add_beats(cube.copy(), HOST, [em],
+                    [interferer_arrivals(HOST, host_times, em)], True)
+    assert hit.size and np.all(hit % cube.shape[1] == 0)   # host chirp 0
+    cube[:, -1] = math.nan            # a cell no burst touches
+    add_emitters(cube, HOST, host_times, [em])
+    cube.reshape(-1)[hit[0]] = math.nan
+    with pytest.raises(ConfigurationError, match="non-finite IF samples"):
+        add_emitters(cube, HOST, host_times, [em])
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from mirs.errors import ConfigurationError
 from mirs.synthesis import host_chirp_times
-from mirs.waveform import (WAVEFORM_FIELDS, ClockModel, RadarType,
+from mirs.waveform import (WAVEFORM_FIELDS, RadarType,
                            WAVEFORM_RANGES, WaveformConfig, apply_clock_drift,
                            check_waveform_rows, sample_waveform)
 
@@ -57,7 +57,7 @@ def test_clock_drift_round_trip_and_scaling():
     wf = WaveformConfig(pri=20e-6, slope=10e12, chirp_duration=15e-6,
                         carrier=78e9, n_chirps=256, fps=25.0, n_elements=12,
                         tx_power=0.01, element_gain=25.0, adc_rate=25e6)
-    d = apply_clock_drift(wf, ClockModel(drift_ppm=20.0))
+    d = apply_clock_drift(wf, 20.0)
     f = 1.0 + 20e-6
     assert d.carrier == pytest.approx(wf.carrier * f)
     assert d.slope == pytest.approx(wf.slope * f)
@@ -65,14 +65,18 @@ def test_clock_drift_round_trip_and_scaling():
     assert d.chirp_duration == pytest.approx(wf.chirp_duration / f)
     # sweep bandwidth is preserved to first order: (s*f)*(T/f) = s*T
     assert d.sweep_bandwidth == pytest.approx(wf.sweep_bandwidth)
-    back = apply_clock_drift(d, ClockModel(drift_ppm=0.0))
+    back = apply_clock_drift(d, 0.0)
     assert back == d
-    assert apply_clock_drift(wf, ClockModel(0.0)) == wf
+    assert apply_clock_drift(wf, 0.0) == wf
 
 
 def test_clock_drift_bound():
-    with pytest.raises(ConfigurationError):
-        ClockModel(drift_ppm=150.0)
+    # the radar table's row check holds the +/-100 ppm bound
+    for drift in (150.0, -100.5, math.nan):
+        cols = {k: np.array([v]) for k, v in zip(
+            WAVEFORM_FIELDS + ("drift_ppm",), GOOD_ROW[:-1] + (drift,))}
+        with pytest.raises(ConfigurationError, match="clock drift limited"):
+            check_waveform_rows(cols)
 
 
 def test_chirp_start_times_grid():
@@ -124,14 +128,16 @@ def test_n_fast_and_dwell_duration():
 
 
 def _first_record_error(rows):
-    """The message of the first record a row of (waveform fields..., drift)
-    fails to build, or None."""
+    """The message of the first row of (waveform fields..., drift) whose
+    WaveformConfig fails to build or whose drift is outside +/-100 ppm, or
+    None."""
     for *fields, drift in rows:
         try:
             WaveformConfig(*fields)
-            ClockModel(drift_ppm=drift)
         except ConfigurationError as e:
             return str(e)
+        if not abs(drift) <= 100:
+            return "clock drift limited to +/-100 ppm"
     return None
 
 
@@ -160,7 +166,7 @@ def waveform_rows(draw):
 @given(rows=st.lists(waveform_rows(), min_size=1, max_size=4))
 def test_row_checks_match_the_record_checks(rows):
     # check_waveform_rows raises what building the first bad row's
-    # WaveformConfig and ClockModel raises, NaNs and zero fps included
+    # WaveformConfig raises, or the drift bound, NaNs and zero fps included
     cols = dict(zip(WAVEFORM_FIELDS + ("drift_ppm",),
                     (np.array(c) for c in zip(*rows))))
     try:
