@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Subcommands: generate-scenario, sweep, anechoic, dump-maps, report.  Every
-flag is also a config-file key (--config takes a YAML file); flags given on
-the command line win.  The MIRS_OUTPUT_DIR environment variable overrides the
-output directory and nothing else.
+Subcommands: generate-scenario, sweep, anechoic, dump-maps, report.  The
+flags of generate-scenario and sweep but --config and --out are config keys
+(--config takes a YAML file); flags given on the command line win.  The
+MIRS_OUTPUT_DIR environment variable overrides the output directory only.
 """
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from . import harness
 from .errors import ConfigurationError
@@ -18,15 +19,13 @@ from .harness import RunConfig, output_dir
 from .mitigation import Technique
 from .scenario import Topology, save_scenario
 
-# flags that override the config key of the same name when given
-OVERRIDE_FLAGS = ("label", "density", "topology", "host_type", "technique",
-                  "seed", "n_seeds", "n_dwells", "workers", "output_dir",
-                  "preset")
-
 
 def _config_from_args(args) -> RunConfig:
-    over = {k: getattr(args, k) for k in OVERRIDE_FLAGS
-            if getattr(args, k) is not None}
+    """The --config file's RunConfig with each flag given on the command line
+    (a RunConfig field, `preset` or `technique`) overriding its key."""
+    keys = {f.name for f in fields(RunConfig)} | {"preset", "technique"}
+    over = {k: v for k, v in vars(args).items()
+            if k in keys and v is not None}
     if args.rates is not None:
         try:
             over["penetration_rates"] = tuple(map(float, args.rates.split(",")))

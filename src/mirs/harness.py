@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import enum
 import io
 import math
 import numbers
 import os
 import re
 import typing
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, is_dataclass, replace
 
 import numpy as np
 import scipy
@@ -25,7 +26,7 @@ from . import __version__
 from .errors import ConfigurationError
 from .metrics import SweepResult, probability_of_detection, stable_mean
 from .mitigation import (MitigationPlan, Technique, apply_technique,
-                         cross_pol_factor)
+                         cross_pol_factor, dither_breaks_pri, tf_slot_need)
 from .processing import (WINDOWS, ca_cfar, noise_floor, range_chirp,
                          range_doppler, target_detected, target_exclusion_cells,
                          target_snr_db, zero_doppler_bin)
@@ -97,7 +98,7 @@ class RunConfig:
     topology: Topology = Topology.FRONT
     host_type: RadarType = RadarType.LRR
     plan: MitigationPlan = MitigationPlan()
-    penetration_rates: tuple = PENETRATION_GRID
+    penetration_rates: tuple[float, ...] = PENETRATION_GRID
     n_seeds: int = 1
     seed: int = 0
     duration: float = 10.0
@@ -116,6 +117,7 @@ class RunConfig:
 
     def __post_init__(self):
         rates = tuple(self.penetration_rates)
+        object.__setattr__(self, "penetration_rates", rates)
         if not rates:
             raise ConfigurationError("penetration_rates must not be empty")
         if list(rates) != sorted(rates) or any(not 0 <= r <= 1 for r in rates):
@@ -167,7 +169,7 @@ class RunConfig:
                  WAVEFORM_RANGES[t]["chirp_duration"][1])
                 for t in self._radar_types()]
         broken = [pri - cd for pri, cd in gaps
-                  if bound + cd > pri * (1 + 1e-12)]
+                  if dither_breaks_pri(bound, cd, pri)]
         if broken:
             raise ConfigurationError(
                 f"time_dithering jitter_bound {bound * 1e6:.4g} us is longer "
@@ -175,10 +177,9 @@ class RunConfig:
 
     def _check_tf_plan(self):
         """Reject an empty TF-coding grid and, for a generated scene, a slot
-        shorter than the longest dwell any of its radars can draw
-        (n_chirps * pri at the range maxima, slowed by the worst clock
-        drift), plus a start offset of up to one PRI and the sync jitter of
-        both neighbouring slots."""
+        shorter than `tf_slot_need` of the longest dwell any of its radars
+        can draw: n_chirps and pri at the range maxima, the worst clock
+        drift and a start offset of one PRI."""
         p = self.plan
         for name, least in (("n_bands", 1), ("n_slots", 1)):
             if getattr(p, name) < least:
@@ -190,33 +191,25 @@ class RunConfig:
         if self.scenario_file:   # apply_time_frequency_coding checks each radar
             return
 
-        def longest(t):
-            pri, n_chirps = (WAVEFORM_RANGES[t][k][1] for k in ("pri", "n_chirps"))
-            return n_chirps * pri / (1 - CLOCK_DRIFT_PPM * 1e-6) + pri
-        worst = max(map(longest, self._radar_types())) + 2.0 * p.sync_jitter
+        worst = max(tf_slot_need(w["n_chirps"][1], w["pri"][1], -CLOCK_DRIFT_PPM,
+                                 w["pri"][1], p.sync_jitter)
+                    for w in map(WAVEFORM_RANGES.get, self._radar_types()))
         slot = 1.0 / (p.tf_frame_rate * p.n_slots)
         if slot < worst:
             raise ConfigurationError(
                 f"time_frequency_coding slot {slot * 1e3:.4g} ms is shorter "
                 f"than the longest dwell {worst * 1e3:.4g} ms")
 
-    def metadata(self):
-        md = {
-            "label": self.label, "density": self.density,
-            "topology": self.topology.value, "host_type": self.host_type.value,
-            "penetration_rates": ",".join(repr(r) for r in self.penetration_rates),
-            "n_seeds": self.n_seeds, "seed": self.seed,
-            "duration": repr(self.duration), "n_dwells": self.n_dwells,
-            "target_range": repr(self.target_range),
-            "target_rcs_dbsm": repr(self.target_rcs_dbsm),
-            "noise_figure_db": repr(self.noise_figure_db),
-            "window": self.window, "lpf_gating": self.lpf_gating,
-            "cfar_guard": self.cfar_guard, "cfar_train": self.cfar_train,
-            "cfar_pfa": repr(self.cfar_pfa),
-            "scenario_file": self.scenario_file,
-        }
-        md.update(self.plan.params_dict())
-        return md
+    def metadata(self) -> dict:
+        """Every field but `plan`, `workers` and `output_dir`, and every plan
+        field, as text: an enum as its value, a tuple as its elements'
+        reprs joined by commas, anything else as `str` (a float's repr)."""
+        values = [(f.name, getattr(self, f.name)) for f in fields(self)
+                  if f.name not in ("plan", "workers", "output_dir")]
+        values += [(f.name, getattr(self.plan, f.name)) for f in fields(self.plan)]
+        return {name: v.value if isinstance(v, enum.Enum)
+                else ",".join(map(repr, v)) if isinstance(v, tuple) else str(v)
+                for name, v in values}
 
 
 def preset_config(index: int, **overrides) -> RunConfig:
@@ -246,11 +239,26 @@ def _check_number(name: str, value, kind: type):
                                  f"{value!r} is not a valid {kind.__name__}")
 
 
-def _check_numbers(cls, d: dict):
-    """Check the values `d` gives `cls`'s int and float fields."""
+def _read_fields(cls, d) -> dict:
+    """The mapping `d` with each of `cls`'s fields it names read by the
+    field's type hint: an int or float checked, an enum built from its
+    value, a tuple built and each element checked, a dataclass built from
+    its own mapping the same way; other keys are left for `cls` to reject."""
+    d = dict(d or {})
     for name, kind in typing.get_type_hints(cls).items():
-        if kind in (int, float) and name in d:
+        if name not in d:
+            continue
+        if kind in (int, float):
             _check_number(name, d[name], kind)
+        elif isinstance(kind, enum.EnumMeta):
+            d[name] = kind(d[name])
+        elif typing.get_origin(kind) is tuple:
+            d[name] = tuple(d[name])
+            for v in d[name]:
+                _check_number(name, v, typing.get_args(kind)[0])
+        elif is_dataclass(kind):
+            d[name] = kind(**_read_fields(kind, d[name]))
+    return d
 
 
 def config_from_dict(d: dict) -> RunConfig:
@@ -259,23 +267,10 @@ def config_from_dict(d: dict) -> RunConfig:
     try:
         d = dict(d)
         preset = d.pop("preset", None)
-        plan_d = dict(d.pop("plan", {}) or {})
-        _check_numbers(RunConfig, d)
-        _check_numbers(MitigationPlan, plan_d)
         if "technique" in d:  # the flat key carries command-line overrides
-            plan_d["technique"] = d.pop("technique")
-        if plan_d:
-            if "technique" in plan_d:
-                plan_d["technique"] = Technique(plan_d["technique"])
-            d["plan"] = MitigationPlan(**plan_d)
-        if "topology" in d:
-            d["topology"] = Topology(d["topology"])
-        if "host_type" in d:
-            d["host_type"] = RadarType(d["host_type"])
-        if "penetration_rates" in d:
-            d["penetration_rates"] = tuple(d["penetration_rates"])
-            for r in d["penetration_rates"]:
-                _check_number("penetration_rates", r, float)
+            d["plan"] = {**dict(d.get("plan") or {}),
+                         "technique": d.pop("technique")}
+        d = _read_fields(RunConfig, d)
         if preset is not None:
             return preset_config(int(preset), **d)
         return RunConfig(**d)
@@ -557,11 +552,6 @@ def run_sweep(cfg: RunConfig, csv_path: str = None):
     return results
 
 
-CSV_FIELDS = ("scenario_label", "topology", "host_radar_type", "technique",
-              "penetration_rate", "seed", "n_dwells", "pd",
-              "mean_noise_floor_db", "mean_target_snr_db")
-
-
 def results_csv(cfg: RunConfig, results) -> str:
     """The sweep CSV: the config and the mirs, numpy and scipy versions as
     `# key=value` lines, then one row per result."""
@@ -571,22 +561,14 @@ def results_csv(cfg: RunConfig, results) -> str:
     for k in sorted(md):
         buf.write(f"# {k}={md[k]}\n")
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(CSV_FIELDS)
-    for r in results:
-        w.writerow([r.scenario_label, r.topology, r.host_radar_type,
-                    r.technique, repr(r.penetration_rate), r.seed, r.n_dwells,
-                    repr(r.pd), repr(r.mean_noise_floor_db),
-                    repr(r.mean_target_snr_db)])
+    w.writerow(f.name for f in fields(SweepResult))
+    w.writerows(map(astuple, results))
     return buf.getvalue()
 
 
 def read_results_csv(path):
-    rows = []
     with open(path) as f:
-        rdr = csv.DictReader(l for l in f if not l.startswith("#"))
-        for row in rdr:
-            rows.append(row)
-    return rows
+        return list(csv.DictReader(l for l in f if not l.startswith("#")))
 
 
 def report(csv_paths, out_path=None) -> str:

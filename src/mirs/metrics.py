@@ -9,16 +9,18 @@ from .errors import ConfigurationError
 
 @dataclass(frozen=True)
 class SweepResult:
+    """One (seed, rate) cell of a sweep; its fields are the sweep CSV's
+    columns, in order."""
     scenario_label: str
     topology: str
     host_radar_type: str
     technique: str
     penetration_rate: float
+    seed: int
+    n_dwells: int
     pd: float
     mean_noise_floor_db: float
     mean_target_snr_db: float
-    n_dwells: int
-    seed: int
 
     def __post_init__(self):
         if not 0.0 <= self.pd <= 1.0:

@@ -40,11 +40,18 @@ class MitigationPlan:
     sync_jitter: float = 0.0
     tf_frame_rate: float = 15.0         # synchronized slot-grid frame rate [Hz]
 
-    def params_dict(self):
-        return {"technique": self.technique.value,
-                "jitter_bound": self.jitter_bound, "n_bands": self.n_bands,
-                "n_slots": self.n_slots, "sync_jitter": self.sync_jitter,
-                "tf_frame_rate": self.tf_frame_rate}
+
+def tf_slot_need(n_chirps, pri, drift_ppm, start_offset, sync_jitter):
+    """The TF slot a dwell needs: n_chirps * pri slowed by the clock drift,
+    the start offset and both neighbouring slots' sync jitter (scalars or
+    radar-table columns)."""
+    return n_chirps * pri / (1 + drift_ppm * 1e-6) + start_offset + 2.0 * sync_jitter
+
+
+def dither_breaks_pri(jitter_bound, chirp_duration, pri):
+    """Whether a jittered chirp can end past its PRI, with WaveformConfig's
+    tolerance (scalars or radar-table columns)."""
+    return jitter_bound + chirp_duration > pri * (1 + 1e-12)
 
 
 def mount_class(radars: dict) -> np.ndarray:
@@ -114,7 +121,7 @@ def cross_pol_factor(tx_pol: str, rx_pol: str, reflected: bool) -> float:
 def apply_time_dithering(scenario: Scenario, jitter_bound: float = 2e-6) -> Scenario:
     """Arm per-chirp uniform start jitter on every radar (host included)."""
     r = scenario.radars
-    if np.any(jitter_bound + r["chirp_duration"] > r["pri"]):
+    if np.any(dither_breaks_pri(jitter_bound, r["chirp_duration"], r["pri"])):
         raise ConfigurationError("jitter bound breaks chirp timing")
     return replace(scenario, radars={
         **r, "dither_bound": np.full(r["pri"].size, jitter_bound, dtype=float)})
@@ -137,7 +144,8 @@ def apply_time_frequency_coding(scenario: Scenario, n_bands: int = 4,
     width = BAND_TOTAL_HZ / n_bands
 
     r = scenario.radars
-    if np.any(r["n_chirps"] * r["pri"] > slot_len):
+    if np.any(tf_slot_need(r["n_chirps"], r["pri"], r["drift_ppm"],
+                           r["start_offset"], sync_jitter) > slot_len):
         raise ConfigurationError("dwell does not fit the time slot")
     n = r["pri"].size
     rank = np.empty(n, dtype=int)

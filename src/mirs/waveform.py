@@ -55,10 +55,6 @@ class WaveformConfig:
             raise ConfigurationError("dwell does not fit inside a frame")
 
     @property
-    def sweep_bandwidth(self) -> float:
-        return self.slope * self.chirp_duration
-
-    @property
     def n_fast(self) -> int:
         # tolerate fp noise so exact products do not floor one short
         return int(math.floor(self.adc_rate * self.chirp_duration * (1 + 1e-12)))

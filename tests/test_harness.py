@@ -2,7 +2,7 @@
 import concurrent.futures
 import math
 import os
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -21,6 +21,7 @@ from mirs.harness import (HOST_ORDER, HOST_TARGET_RANGE, PENETRATION_GRID,
                           prepare_scene, preset_config, read_results_csv,
                           report, results_csv, run_anechoic_analog, run_cell,
                           run_sweep, simulate_dwell, table2_cells)
+from mirs.metrics import SweepResult
 from mirs.mitigation import MitigationPlan, Technique
 from mirs.processing import vertical_stripes
 from mirs.scenario import Topology, scenario_from_dict, scenario_to_dict
@@ -474,6 +475,61 @@ def test_metadata_embeds_parameters():
                          ("numpy", np.__version__),
                          ("scipy", scipy.__version__)):
         assert f"# {key}_version={version}" in head
+
+
+# results_csv of one TF-coded config and one row with a NaN SNR, byte for
+# byte but for the three installed versions
+PINNED_CSV = """\
+# cfar_guard=2
+# cfar_pfa=0.0001
+# cfar_train=8
+# density=low
+# duration=10.0
+# host_type=LRR
+# jitter_bound=2e-06
+# label=pinned
+# lpf_gating=True
+# mirs_version={mirs}
+# n_bands=64
+# n_dwells=2
+# n_seeds=2
+# n_slots=6
+# noise_figure_db=12.0
+# numpy_version={numpy}
+# penetration_rates=0.0,1.0
+# scenario_file=
+# scipy_version={scipy}
+# seed=0
+# sync_jitter=0.0
+# target_range=0.0
+# target_rcs_dbsm=10.0
+# technique=time_frequency_coding
+# tf_frame_rate=15.0
+# topology=front
+# window=hann
+scenario_label,topology,host_radar_type,technique,penetration_rate,seed,n_dwells,pd,mean_noise_floor_db,mean_target_snr_db
+low,front,LRR,time_frequency_coding,1.0,1,2,0.5,-120.25,nan
+"""
+
+
+def test_csv_pins_every_config_field():
+    cfg = RunConfig(label="pinned", plan=MitigationPlan(
+        technique=Technique.TIME_FREQUENCY_CODING, n_bands=64, n_slots=6),
+        penetration_rates=(0.0, 1.0), n_seeds=2, n_dwells=2, workers=2,
+        output_dir="elsewhere")
+    row = SweepResult(scenario_label="low", topology="front",
+                      host_radar_type="LRR", technique="time_frequency_coding",
+                      penetration_rate=1.0, seed=1, n_dwells=2, pd=0.5,
+                      mean_noise_floor_db=-120.25, mean_target_snr_db=math.nan)
+    text = results_csv(cfg, [row])
+    assert text == PINNED_CSV.format(mirs=mirs.__version__,
+                                     numpy=np.__version__,
+                                     scipy=scipy.__version__)
+    keys = {l[2:].split("=")[0] for l in text.splitlines() if l.startswith("#")}
+    assert keys == ({f.name for f in fields(RunConfig)}
+                    - {"plan", "workers", "output_dir"}
+                    | {f.name for f in fields(MitigationPlan)}
+                    | {"mirs_version", "numpy_version", "scipy_version"})
 
 
 def test_layouts():

@@ -1,5 +1,6 @@
 """Mitigation transforms: band fitting, polarization, dithering, TF coding."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -113,6 +114,60 @@ def test_time_dithering_sets_bound_and_validates():
         apply_time_dithering(s, 20e-6)  # breaks chirp timing for some draw
 
 
+def _edit_row(s, row, **columns):
+    """`s` with radar row `row` of the named columns set to the values."""
+    radars = dict(s.radars)
+    for k, v in columns.items():
+        radars[k] = radars[k].copy()
+        radars[k][row] = v
+    return replace(s, radars=radars)
+
+
+def test_time_dithering_keeps_the_waveform_tolerance():
+    # a bound that ends the chirp one rounding step past its PRI fits, as
+    # it does in WaveformConfig's check and RunConfig's class check
+    pri, bound = 20e-6, 2e-6
+    cd = np.nextafter(pri - bound, 1.0)
+    assert bound + cd > pri
+    s = _edit_row(rigged_scene(), 1, pri=pri, chirp_duration=cd)
+    assert np.all(apply_time_dithering(s, bound).radars["dither_bound"] == bound)
+    with pytest.raises(ConfigurationError, match="jitter bound breaks"):
+        apply_time_dithering(s, bound * (1 + 1e-9))
+
+
+SLOT = 1.0 / 15.0 / 6          # 6 slots at 15 Hz: 11.11 ms
+
+
+@pytest.mark.parametrize("edit, sync_jitter, fits", [
+    # 555 chirps of 20 us with a 19 us start offset and -20 ppm of drift:
+    # n_chirps * pri alone fits, the last chirp ends 3.1 us into the next slot
+    (dict(n_chirps=555, pri=20e-6, start_offset=19e-6, drift_ppm=-20.0),
+     0.0, False),
+    # 0.5 us short of the slot: each term alone overruns it
+    (dict(n_chirps=555, pri=(SLOT - 0.5e-6) / 555, start_offset=0.0,
+          drift_ppm=0.0), 0.0, True),
+    (dict(n_chirps=555, pri=(SLOT - 0.5e-6) / 555, start_offset=1e-6,
+          drift_ppm=0.0), 0.0, False),
+    (dict(n_chirps=555, pri=(SLOT - 0.5e-6) / 555, start_offset=0.0,
+          drift_ppm=-100.0), 0.0, False),
+    (dict(n_chirps=555, pri=(SLOT - 0.5e-6) / 555, start_offset=0.0,
+          drift_ppm=0.0), 0.3e-6, False),
+], ids=["long_dwell", "fits", "start_offset", "clock_drift", "sync_jitter"])
+def test_tf_coding_checks_each_radar_as_the_config_checks_a_class(
+        edit, sync_jitter, fits):
+    s = _edit_row(rigged_scene(topology=Topology.FRONT), 1, **edit)
+    def run():
+        return apply_time_frequency_coding(
+            s, n_bands=64, n_slots=6, sync_jitter=sync_jitter,
+            rng=np.random.default_rng(0), frame_rate=15.0)
+    if fits:
+        run()
+    else:
+        with pytest.raises(ConfigurationError,
+                           match="dwell does not fit the time slot"):
+            run()
+
+
 def test_time_dithering_zero_is_identity():
     s = rigged_scene()
     out = apply_time_dithering(s, 0.0)
@@ -184,11 +239,3 @@ def test_apply_technique_dispatch():
         plan = MitigationPlan(technique=tech, n_bands=64, n_slots=6)
         out = apply_technique(s, plan, np.random.default_rng(1))
         assert geometry_fingerprint(out) == geometry_fingerprint(s)
-
-
-def test_plan_params_dict_round_trip():
-    plan = MitigationPlan(technique=Technique.TIME_FREQUENCY_CODING,
-                          n_bands=64, n_slots=6)
-    d = plan.params_dict()
-    assert d["technique"] == "time_frequency_coding"
-    assert d["n_bands"] == 64 and d["n_slots"] == 6

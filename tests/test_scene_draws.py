@@ -140,7 +140,8 @@ def ref_predefined_polarization(vehicles):
 def ref_time_dithering(vehicles, jitter_bound):
     for v in vehicles:
         for r in v.radars:
-            if jitter_bound + r.waveform.chirp_duration > r.waveform.pri:
+            wf = r.waveform
+            if jitter_bound + wf.chirp_duration > wf.pri * (1 + 1e-12):
                 raise ConfigurationError("jitter bound breaks chirp timing")
     return [replace(v, radars=tuple(replace(r, dither_bound=jitter_bound)
                                     for r in v.radars))
@@ -158,7 +159,11 @@ def ref_time_frequency_coding(vehicles, n_bands, n_slots, sync_jitter, rng,
     for v in vehicles:
         radars = []
         for i, r in enumerate(v.radars):
-            if r.waveform.dwell_duration > slot_len:
+            wf = r.waveform
+            # the dwell slowed by the clock drift, the start offset and the
+            # sync jitter of both neighbouring slots
+            if (wf.dwell_duration / (1 + r.drift_ppm * 1e-6) + wf.start_offset
+                    + 2.0 * sync_jitter > slot_len):
                 raise ConfigurationError("dwell does not fit the time slot")
             cell = rank[(v.id, i)] % (n_bands * n_slots)
             band, slot = cell % n_bands, cell // n_bands
