@@ -229,11 +229,16 @@ def output_dir(default: str) -> str:
     return os.environ.get("MIRS_OUTPUT_DIR", default)
 
 
-def _check_number(name: str, value, kind: type):
-    """Reject a config value that is not a finite `kind` (int or float)."""
-    ok = (not isinstance(value, bool)
-          and isinstance(value, numbers.Integral if kind is int else numbers.Real)
-          and math.isfinite(value))
+def _check_value(name: str, value, kind: type):
+    """Reject a config value that is not a `kind`: a finite int or float
+    (a bool is neither), a bool or a str."""
+    if kind in (int, float):
+        ok = (not isinstance(value, bool)
+              and isinstance(value, numbers.Integral if kind is int
+                             else numbers.Real)
+              and math.isfinite(value))
+    else:
+        ok = isinstance(value, kind)
     if not ok:
         raise ConfigurationError(f"bad config value: {name}: "
                                  f"{value!r} is not a valid {kind.__name__}")
@@ -241,21 +246,22 @@ def _check_number(name: str, value, kind: type):
 
 def _read_fields(cls, d) -> dict:
     """The mapping `d` with each of `cls`'s fields it names read by the
-    field's type hint: an int or float checked, an enum built from its
-    value, a tuple built and each element checked, a dataclass built from
-    its own mapping the same way; other keys are left for `cls` to reject."""
+    field's type hint: an int, float, bool or str checked, an enum built
+    from its value, a tuple built and each element checked, a dataclass
+    built from its own mapping the same way; other keys are left for `cls`
+    to reject."""
     d = dict(d or {})
     for name, kind in typing.get_type_hints(cls).items():
         if name not in d:
             continue
-        if kind in (int, float):
-            _check_number(name, d[name], kind)
+        if kind in (int, float, bool, str):
+            _check_value(name, d[name], kind)
         elif isinstance(kind, enum.EnumMeta):
             d[name] = kind(d[name])
         elif typing.get_origin(kind) is tuple:
             d[name] = tuple(d[name])
             for v in d[name]:
-                _check_number(name, v, typing.get_args(kind)[0])
+                _check_value(name, v, typing.get_args(kind)[0])
         elif is_dataclass(kind):
             d[name] = kind(**_read_fields(kind, d[name]))
     return d
@@ -272,13 +278,14 @@ def config_from_dict(d: dict) -> RunConfig:
                          "technique": d.pop("technique")}
         d = _read_fields(RunConfig, d)
         if preset is not None:
-            return preset_config(int(preset), **d)
+            _check_value("preset", preset, int)
+            return preset_config(preset, **d)
         return RunConfig(**d)
     except ConfigurationError:
         raise
     except TypeError as e:
         raise ConfigurationError(f"bad config key: {e}")
-    except ValueError as e:   # an unknown enum value or a non-integer preset
+    except ValueError as e:   # an unknown enum value
         raise ConfigurationError(f"bad config value: {e}")
 
 
@@ -421,15 +428,16 @@ def build_emitters(snap: Scenario, host_pos, host_bore, host_row: int,
 
 def simulate_dwell(cfg: RunConfig, scen: Scenario, seed_index: int,
                    dwell_index: int, frame_p: float,
-                   reuse: dict = None) -> DwellResult:
+                   shared: dict = None) -> DwellResult:
     """One host dwell of a prepared scene.
 
-    `reuse`, if given, holds the interference-free dwells of one
-    (cfg, seed_index), keyed on all that such a dwell is computed from
-    besides them: the dwell index (the noise stream), the host's drifted
-    waveform (chirp count, slope, ADC rate), the target's echo power and its
-    range.  A dwell whose emitter list is empty returns the result stored
-    under its key, or computes and stores it.
+    `shared`, if given, is shared by the scenes of one (cfg, seed_index) at
+    this dwell index, so by the dwells of one noise stream.  It holds the
+    scaled noise cube (synthesize_dwell's `noise_cache`) and the
+    interference-free results, keyed on all else such a dwell is computed
+    from: the host's drifted waveform (chirp count, slope, ADC rate), the
+    target's echo power and its range.  A dwell whose emitter list is empty
+    returns the result stored under its key, or computes and stores it.
     """
     snap = advance(scen, dwell_index * frame_p)
     r, row = snap.radars, snap.host_row
@@ -457,16 +465,17 @@ def simulate_dwell(cfg: RunConfig, scen: Scenario, seed_index: int,
     emitters = build_emitters(snap, host_pos, host_bore, row, host_wf, t0, t1,
                               (cfg.seed, seed_index))
     key = None
-    if reuse is not None and not emitters:
-        key = (dwell_index, host_wf, p_echo, tgt_range)
-        if key in reuse:
-            return reuse[key]
+    if shared is not None and not emitters:
+        key = ("clean", host_wf, p_echo, tgt_range)
+        if key in shared:
+            return shared[key]
 
     noise = ThermalModel(noise_figure_db=cfg.noise_figure_db)
     noise_rng = np.random.default_rng(np.random.SeedSequence(
         [cfg.seed, seed_index, NOISE_TAG, dwell_index]))
     cube = synthesize_dwell(host_wf, host_times, targets, emitters, noise,
-                            noise_rng, lpf_gating=cfg.lpf_gating)
+                            noise_rng, lpf_gating=cfg.lpf_gating,
+                            noise_cache=shared)
 
     rd = range_doppler(cube, window=cfg.window)
     f_b = 2.0 * tgt_range * host_wf.slope / C0
@@ -474,40 +483,51 @@ def simulate_dwell(cfg: RunConfig, scen: Scenario, seed_index: int,
     db = zero_doppler_bin(rd)
     excl = target_exclusion_cells(rd, rb, db)
     floor = noise_floor(rd, exclusion=excl)
-    dets = ca_cfar(rd, guard=cfg.cfar_guard, train=cfg.cfar_train,
+    dets = ca_cfar(rd, rb, db, guard=cfg.cfar_guard, train=cfg.cfar_train,
                    pfa=cfg.cfar_pfa)
     hit = bool(targets) and target_detected(dets, rb, db, rd.shape[1])
     snr = target_snr_db(rd, rb, db, floor) if targets else float("nan")
     result = DwellResult(detected=hit, floor_db=floor, target_snr_db=snr,
                          n_emitters=len(emitters))
     if key is not None:
-        reuse[key] = result
+        shared[key] = result
     return result
 
 
 # ---------------------------------------------------------------------------
 # sweep
 
-def run_cell(cfg: RunConfig, seed_index: int, rate: float,
-             scene: Scenario = None, reuse: dict = None) -> SweepResult:
-    """One (seed, rate) cell; `reuse` is simulate_dwell's, shared by the
-    cells of one (cfg, seed_index)."""
-    scen = prepare_scene(cfg, seed_index, rate, scene)
-    n_dwells, frame_p = dwell_schedule(cfg, scen)
-    hits, floors, snrs = [], [], []
-    for d in range(n_dwells):
-        r = simulate_dwell(cfg, scen, seed_index, d, frame_p, reuse)
-        hits.append(r.detected)
-        floors.append(r.floor_db)
-        snrs.append(r.target_snr_db)
-    return SweepResult(
+def run_cells(cfg: RunConfig, seed_index: int, rates,
+              scene: Scenario = None) -> list:
+    """The (seed, rate) cells of `rates`, on `scene` (built here when not
+    given), dwell-major: every rate's scene is prepared first, then each
+    dwell index runs at every rate with one simulate_dwell `shared` dict, so
+    the dwell's noise is drawn once and each interference-free dwell
+    computed once for all of them."""
+    scene = scene if scene is not None else build_scene(cfg, seed_index)
+    scens = [prepare_scene(cfg, seed_index, r, scene) for r in rates]
+    plans = [dwell_schedule(cfg, s) for s in scens]
+    dwells = [[] for _ in rates]
+    for d in range(max(n for n, _ in plans)):
+        shared = {} if len(rates) > 1 else None
+        for scen, (n, frame_p), out in zip(scens, plans, dwells):
+            if d < n:
+                out.append(simulate_dwell(cfg, scen, seed_index, d, frame_p,
+                                          shared))
+    return [SweepResult(
         scenario_label=cfg.density, topology=cfg.topology.value,
         host_radar_type=cfg.host_type.value,
         technique=cfg.plan.technique.value, penetration_rate=rate,
-        pd=probability_of_detection(hits),
-        mean_noise_floor_db=stable_mean(floors),
-        mean_target_snr_db=stable_mean(snrs),
-        n_dwells=n_dwells, seed=seed_index)
+        pd=probability_of_detection(r.detected for r in out),
+        mean_noise_floor_db=stable_mean(r.floor_db for r in out),
+        mean_target_snr_db=stable_mean(r.target_snr_db for r in out),
+        n_dwells=len(out), seed=seed_index) for rate, out in zip(rates, dwells)]
+
+
+def run_cell(cfg: RunConfig, seed_index: int, rate: float,
+             scene: Scenario = None) -> SweepResult:
+    """One (seed, rate) cell: run_cells of the one rate."""
+    return run_cells(cfg, seed_index, (rate,), scene)[0]
 
 
 def _rates_per_task(n_seeds: int, n_rates: int, workers: int) -> int:
@@ -521,12 +541,8 @@ def _rates_per_task(n_seeds: int, n_rates: int, workers: int) -> int:
 
 
 def _seed_task(args):
-    """Some rates of one seed, on the seed's scene built once; each
-    interference-free dwell is computed once for all of them."""
-    cfg, seed_index, rates = args
-    scene = build_scene(cfg, seed_index)
-    reuse = {}
-    return [run_cell(cfg, seed_index, r, scene, reuse) for r in rates]
+    """Some rates of one seed: run_cells of (cfg, seed_index, rates)."""
+    return run_cells(*args)
 
 
 def run_sweep(cfg: RunConfig, csv_path: str = None):

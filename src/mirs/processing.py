@@ -7,6 +7,11 @@ floor median and the CFAR sums taken on them.  The floor median is
 np.median's, bit for bit, from one single-kth selection in a copy of the map
 (a NaN anywhere gives a NaN floor).
 
+A dwell reads one bit from the CFAR, whether a cluster's peak lies in the
+association gate around the target cell, so ca_cfar evaluates the CA-CFAR
+mask and its clusters only in a band of range rows around the gate, widened
+until every cluster touching the gate is whole.
+
 Window power is normalized so that a pure-noise floor level is invariant to
 the window choice; the Doppler axis is fftshifted so zero Doppler sits at bin
 n_chirps // 2.
@@ -97,47 +102,82 @@ def target_exclusion_cells(power: np.ndarray, range_bin: int, doppler_bin: int,
 
 
 def detection_mask_ca_cfar(power: np.ndarray, guard: int = 2, train: int = 8,
-                           pfa: float = 1e-4) -> np.ndarray:
-    """Cross-shaped cell-averaging CFAR hit mask, before clustering.
+                           pfa: float = 1e-4,
+                           rows: slice = slice(None)) -> np.ndarray:
+    """Cross-shaped cell-averaging CFAR hit mask, before clustering, of the
+    range rows `rows` (a step-1 slice; the whole map by default).
 
     The training cells lie guard+1 .. guard+train cells away on either side,
     wrapped on the Doppler axis and truncated on the range axis, so their
     count N, and the threshold multiplier alpha = N (pfa^(-1/N) - 1), depend
-    only on the range row.
+    only on the range row.  A row's mask reads only the rows within
+    guard+train of it, so a band of rows is the same as those rows of the
+    whole map's mask.
     """
     if train < 4:
         raise ConfigurationError("train must be >= 4")
     if not 0.0 < pfa < 1.0:
         raise ConfigurationError("pfa must be in (0, 1)")
-    k = np.zeros(2 * (guard + train) + 1)
+    n_range = power.shape[0]
+    start, stop, _ = rows.indices(n_range)
+    reach = guard + train
+    lo = max(0, start - reach)
+    band = power[lo:min(n_range, stop + reach)]
+    core = slice(start - lo, stop - lo)
+    k = np.zeros(2 * reach + 1)
     k[:train] = 1.0
     k[-train:] = 1.0
-    noise = ndimage.correlate1d(power, k, axis=1, mode="wrap")
-    noise += ndimage.correlate1d(power, k, axis=0, mode="constant", cval=0.0)
-    count = 2 * train + ndimage.correlate1d(np.ones(power.shape[0]), k,
+    noise = ndimage.correlate1d(band[core], k, axis=1, mode="wrap")
+    noise += ndimage.correlate1d(band, k, axis=0, mode="constant",
+                                 cval=0.0)[core]
+    count = 2 * train + ndimage.correlate1d(np.ones(n_range), k,
                                             mode="constant", cval=0.0)
-    count = count[:, None]
+    count = count[start:stop, None]
     noise /= count
     alpha = count * (pfa ** (-1.0 / count) - 1.0)
-    return power > alpha * noise
+    return band[core] > alpha * noise
 
 
-def ca_cfar(power: np.ndarray, guard: int = 2, train: int = 8,
-            pfa: float = 1e-4) -> np.ndarray:
-    """2-D cross-shaped CA-CFAR, with 8-connected hit cells clustered to
-    their peak: one (range bin, Doppler bin) row per cluster, in label order.
+def ca_cfar(power: np.ndarray, range_bin: int, doppler_bin: int,
+            guard: int = 2, train: int = 8, pfa: float = 1e-4,
+            gate: int = 2) -> np.ndarray:
+    """2-D cross-shaped CA-CFAR seen through the association gate: the peak
+    cells, one (range bin, Doppler bin) row per cluster, of the 8-connected
+    hit clusters that touch the +/-gate block around (range_bin,
+    doppler_bin) (target_exclusion_cells with halo=gate).
 
     A cluster's peak is its strongest cell; among equal powers, the first in
-    row-major order.
+    row-major order.  Only a band of rows around the gate is labelled,
+    starting at range_bin +/- (gate + guard + train); the band doubles while
+    a kept cluster reaches one of its edges that is not a map edge, so each
+    kept cluster is whole and its peak the full map's.
     """
-    hits = detection_mask_ca_cfar(power, guard, train, pfa)
-    labels, _ = ndimage.label(hits, structure=np.ones((3, 3), dtype=int))
-    idx = np.flatnonzero(labels)
+    n_range = power.shape[0]
+    gate_rows, gate_cols = target_exclusion_cells(power, range_bin,
+                                                  doppler_bin, halo=gate)
+    if gate_rows.start >= gate_rows.stop:     # the gate lies off the map
+        return np.empty((0, 2), dtype=np.intp)
+    half = gate + guard + train
+    while True:
+        start = max(0, range_bin - half)
+        stop = min(n_range, range_bin + half + 1)
+        hits = detection_mask_ca_cfar(power, guard, train, pfa,
+                                      slice(start, stop))
+        labels, _ = ndimage.label(hits, structure=np.ones((3, 3), dtype=int))
+        keep = labels[gate_rows.start - start:gate_rows.stop - start]
+        keep = np.unique(keep[:, gate_cols])
+        keep = keep[keep > 0]
+        edges = labels[[0, -1]][[start > 0, stop < n_range]]
+        if not np.isin(edges, keep).any():
+            break
+        half *= 2
+    idx = np.flatnonzero(np.isin(labels, keep))
     lab = labels.ravel()[idx]
-    order = np.lexsort((idx, -power.ravel()[idx], lab))
+    order = np.lexsort((idx, -power[start:stop].ravel()[idx], lab))
     lab = lab[order]
     peaks = idx[order[np.flatnonzero(np.diff(lab, prepend=0))]]
-    return np.column_stack(np.unravel_index(peaks, power.shape))
+    rb, db = np.unravel_index(peaks, labels.shape)
+    return np.column_stack((rb + start, db))
 
 
 def target_detected(detections: np.ndarray, range_bin: int, doppler_bin: int,

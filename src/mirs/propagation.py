@@ -142,12 +142,15 @@ def paths(tx, rx, rx_bore, rx_fov, host, rects, geometry: RoadGeometry):
         keep = np.flatnonzero(
             valid & _in_sector(np.arctan2(fy - y, fx - x), tx.bore, tx.fov)
             & _in_sector(np.arctan2(ly - rx_y, lx - rx_x), rx_bore, rx_fov))
+        # a leg is tested only on the paths no earlier leg has blocked
         blocked = np.zeros(len(keep), dtype=bool)
         for (px, py), (qx, qy) in zip(points, points[1:]):
-            blocked |= segments_blocked(
-                np.column_stack((px[keep], py[keep])),
-                np.column_stack((qx[keep], qy[keep])),
-                tx.vehicle[keep], host, rects)
+            open_ = np.flatnonzero(~blocked)
+            rows = keep[open_]
+            blocked[open_] = segments_blocked(
+                np.column_stack((px[rows], py[rows])),
+                np.column_stack((qx[rows], qy[rows])),
+                tx.vehicle[rows], host, rects)
         # math's hypot and atan2, not numpy's, which round differently in the
         # last bits: amplitudes and delays match the scalar reference bit for bit
         dxy = list(zip(np.abs(rx_x - x[keep]).tolist(), dy[keep].tolist()))

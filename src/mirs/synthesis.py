@@ -204,27 +204,42 @@ def add_emitters(cube: np.ndarray, host_wf: WaveformConfig,
     _check_finite(cube.reshape(-1)[cells])
 
 
+def _noise_cube(shape, scale: float, rng: np.random.Generator) -> np.ndarray:
+    """Complex white noise, real then imaginary parts drawn from `rng`, each
+    scaled by `scale`."""
+    cube = np.empty(shape, dtype=complex)
+    cube.real = rng.standard_normal(shape)
+    cube.imag = rng.standard_normal(shape)
+    cube *= scale
+    return cube
+
+
 def synthesize_dwell(host_wf: WaveformConfig, host_times: np.ndarray,
                      targets, emitters, noise: ThermalModel,
                      noise_rng: np.random.Generator,
-                     lpf_gating: bool = True) -> np.ndarray:
+                     lpf_gating: bool = True,
+                     noise_cache: dict = None) -> np.ndarray:
     """Build the host IF cube for one dwell: complex samples [n_fast,
     n_chirps].
 
     targets: iterable of TargetEcho, each at zero radial speed; emitters:
     iterable of Emitter (one per interferer radar and unblocked path).  Noise
     is drawn first from its own stream, so cubes with identical noise seeds
-    superpose exactly.
+    superpose exactly.  `noise_cache`, if given, holds noise cubes drawn from
+    one stream, keyed on (shape, scale): the first call of a key draws its
+    cube, and every call builds on a copy of it.
     """
     fs = host_wf.adc_rate
     n_fast = host_wf.n_fast
-    n_chirps = len(host_times)
-    p_noise = noise.power(fs)
-    scale = math.sqrt(p_noise / 2.0)
-    cube = np.empty((n_fast, n_chirps), dtype=complex)
-    cube.real = noise_rng.standard_normal((n_fast, n_chirps))
-    cube.imag = noise_rng.standard_normal((n_fast, n_chirps))
-    cube *= scale
+    shape = (n_fast, len(host_times))
+    scale = math.sqrt(noise.power(fs) / 2.0)
+    if noise_cache is None:
+        cube = _noise_cube(shape, scale, noise_rng)
+    else:
+        key = ("noise", shape, scale)
+        if key not in noise_cache:
+            noise_cache[key] = _noise_cube(shape, scale, noise_rng)
+        cube = noise_cache[key].copy()
 
     t_fast = np.arange(n_fast) / fs
     for tgt in targets:

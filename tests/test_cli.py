@@ -174,6 +174,13 @@ def test_exponent_without_dot_is_a_number(tmp_path):
     ("- a\n- b\n", "bad.yaml: not a mapping of keys to values"),
     ("density: [unclosed\n", "bad.yaml: while parsing a flow sequence"),
     ("density: low\n  topology: [\n", "bad config file"),
+    ("lpf_gating: 'off'\n",
+     "bad config value: lpf_gating: 'off' is not a valid bool"),
+    ("label: 26\n", "bad config value: label: 26 is not a valid str"),
+    ("scenario_file: 0\n",
+     "bad config value: scenario_file: 0 is not a valid str"),
+    ("preset: 1.7\n", "bad config value: preset: 1.7 is not a valid int"),
+    ("preset: true\n", "bad config value: preset: True is not a valid int"),
 ], ids=["target_beyond_if_band", "unknown_window", "interferer_only_host",
         "unknown_topology", "unknown_host_type", "unknown_technique",
         "negative_n_dwells", "zero_workers", "negative_cfar_guard",
@@ -187,7 +194,9 @@ def test_exponent_without_dot_is_a_number(tmp_path):
         "dither_bound_too_large", "dither_bound_of_topology_lrr",
         "dither_negative_bound", "negative_seed", "unknown_density",
         "zero_duration", "negative_target_range", "target_at_the_radar",
-        "config_is_a_list", "unclosed_flow_sequence", "bad_indentation"])
+        "config_is_a_list", "unclosed_flow_sequence", "bad_indentation",
+        "quoted_lpf_gating", "numeric_label", "numeric_scenario_file",
+        "fractional_preset", "boolean_preset"])
 def test_bad_config_fails_before_any_scene(tmp_path, capsys, monkeypatch, text, why):
     def no_scene(*args, **kwargs):
         raise AssertionError("a scene was built")

@@ -12,15 +12,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mirs
+from mirs import synthesis
 from mirs.errors import ConfigurationError
 from mirs.harness import (HOST_ORDER, HOST_TARGET_RANGE, PENETRATION_GRID,
-                          RADAR_A, RunConfig, _rates_per_task, build_scene,
+                          RADAR_A, DwellResult, RunConfig, _rates_per_task,
+                          build_scene,
                           chamber_layout,
                           config_from_dict, dump_maps, dwell_schedule,
                           field_layout, load_config, output_dir,
                           prepare_scene, preset_config, read_results_csv,
                           report, results_csv, run_anechoic_analog, run_cell,
-                          run_sweep, simulate_dwell, table2_cells)
+                          run_cells, run_sweep, simulate_dwell, table2_cells)
 from mirs.metrics import SweepResult
 from mirs.mitigation import MitigationPlan, Technique
 from mirs.processing import vertical_stripes
@@ -283,6 +285,29 @@ def test_sweep_synthesizes_each_clean_dwell_once(monkeypatch):
     assert calls.count(0) == clean
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_dwell_major_sweep_equals_one_rate_at_a_time(workers):
+    cfg = RunConfig(**{**TF_SWEEP, "n_seeds": 2, "workers": workers})
+    assert len(cfg.penetration_rates) >= 3 and cfg.n_dwells >= 3
+    want = [run_cell(cfg, s, r) for s in range(2)
+            for r in cfg.penetration_rates]
+    assert run_sweep(cfg) == want
+
+
+def test_sweep_draws_each_dwell_noise_once(monkeypatch):
+    cfg = RunConfig(**TF_SWEEP)
+    draws = []
+
+    def counted(shape, scale, rng):
+        draws.append(shape)
+        return noise_cube(shape, scale, rng)
+    noise_cube = synthesis._noise_cube
+    monkeypatch.setattr(synthesis, "_noise_cube", counted)
+    run_sweep(cfg)
+    # one task runs every rate of the seed; each dwell index draws once
+    assert len(draws) == cfg.n_dwells
+
+
 def test_dwell_reuse_ends_with_its_task(monkeypatch):
     cfg = RunConfig(**TF_SWEEP)
     want = sum(_synthesis_once_per_clean_dwell(cfg))
@@ -293,16 +318,41 @@ def test_dwell_reuse_ends_with_its_task(monkeypatch):
         assert len(calls) == want
 
 
-def test_dwell_reuse_keys_on_the_dwell_index():
-    # a parked host is the same vehicle at every dwell
+def test_dwell_reuse_keys_on_the_dwell_index(monkeypatch):
+    # a parked host is the same vehicle at every dwell: only the dwell index
+    # (the noise stream) tells its clean dwells apart, and run_cells keeps
+    # one shared dict per dwell index
     cfg = RunConfig(**{**QUICK, "penetration_rates": (0.0,), "n_dwells": 4})
     scene = build_scene(cfg, 0)
     v = scene.vehicles
     parked = replace(scene, vehicles={**v, "speed": np.where(
         np.arange(v["id"].size) == scene.host, 0.0, v["speed"])})
-    reuse = {}
-    assert run_cell(cfg, 0, 0.0, parked, reuse) == run_cell(cfg, 0, 0.0, parked)
-    assert len(reuse) == cfg.n_dwells
+    alone = run_cell(cfg, 0, 0.0, parked)
+    calls = _count_synthesis(monkeypatch)
+    assert run_cells(cfg, 0, (0.0, 0.0), parked) == [alone, alone]
+    assert calls == [0] * cfg.n_dwells
+
+
+def _one_dict_per_dwell(cfg, scenes):
+    """The dwells of seed 0 at rate 0 on each of `scenes`, run as run_cells
+    runs them, with every scene's dwell d sharing one simulate_dwell dict,
+    and the number of results stored in those dicts."""
+    prepared = [prepare_scene(cfg, 0, 0.0, s) for s in scenes]
+    out, stored = [[] for _ in scenes], 0
+    for d in range(cfg.n_dwells):
+        shared = {}
+        for s, dwells in zip(prepared, out):
+            dwells.append(simulate_dwell(cfg, s, 0, d,
+                                         dwell_schedule(cfg, s)[1], shared))
+        stored += sum(isinstance(v, DwellResult) for v in shared.values())
+    return out, stored
+
+
+def _dwells_alone(cfg, scenes):
+    """The dwells of `_one_dict_per_dwell`, each simulated without a dict."""
+    prepared = [prepare_scene(cfg, 0, 0.0, s) for s in scenes]
+    return [[simulate_dwell(cfg, s, 0, d, dwell_schedule(cfg, s)[1])
+             for d in range(cfg.n_dwells)] for s in prepared]
 
 
 def _host_radar_dict(s):
@@ -334,10 +384,9 @@ def test_dwell_reuse_keeps_different_hosts_apart(differ):
     else:
         a, b = scene, replace(scene, reference_target=replace(
             scene.reference_target, rcs=scene.reference_target.rcs / 4.0))
-    reuse = {}
-    got = [run_cell(cfg, 0, 0.0, s, reuse) for s in (a, b)]
-    assert len(reuse) == 2 * cfg.n_dwells
-    assert got == [run_cell(cfg, 0, 0.0, s) for s in (a, b)]
+    got, stored = _one_dict_per_dwell(cfg, (a, b))
+    assert stored == 2 * cfg.n_dwells
+    assert got == _dwells_alone(cfg, (a, b))
     assert got[0] != got[1]
 
 
@@ -352,10 +401,9 @@ def test_dwell_reuse_shares_hosts_a_clean_dwell_cannot_tell_apart():
     other = _with_host_radars(scene, [{
         **hr, "polarization": "H", "dither_bound": 1e-6,
         "band_assignment": [77e9, 78e9]}])
-    reuse = {}
-    got = [run_cell(cfg, 0, 0.0, s, reuse) for s in (scene, other)]
-    assert len(reuse) == cfg.n_dwells
-    alone = [run_cell(cfg, 0, 0.0, s) for s in (scene, other)]
+    got, stored = _one_dict_per_dwell(cfg, (scene, other))
+    assert stored == cfg.n_dwells
+    alone = _dwells_alone(cfg, (scene, other))
     assert got == alone and alone[0] == alone[1]
 
 

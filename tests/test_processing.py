@@ -174,11 +174,11 @@ def test_noise_floor_of_a_map_with_nan_is_nan():
 def test_cfar_detects_strong_tone():
     cube, _ = tone_cube(range_bin=200, power=1e-9)
     rd = range_doppler(cube)
-    dets = ca_cfar(rd)
     zero = zero_doppler_bin(rd)
+    dets = ca_cfar(rd, 200, zero)
     assert any(abs(rb - 200) <= 1 and abs(db - zero) <= 1 for rb, db in dets)
     assert target_detected(dets, 200, zero, rd.shape[1])
-    assert not target_detected(dets, 350, zero, rd.shape[1])
+    assert not target_detected(ca_cfar(rd, 350, zero), 350, zero, rd.shape[1])
 
 
 def test_cfar_scale_invariance():
@@ -209,7 +209,7 @@ def test_cfar_validation():
     rd = range_doppler(noise_cube())
     for kwargs in ({"train": 2}, {"pfa": 0.0}, {"pfa": 1.0}):
         with pytest.raises(ConfigurationError):
-            ca_cfar(rd, **kwargs)
+            ca_cfar(rd, 100, 32, **kwargs)
         with pytest.raises(ConfigurationError):
             detection_mask_ca_cfar(rd, **kwargs)
 
@@ -246,19 +246,143 @@ def test_cfar_matches_per_cell_oracle(data):
     power[rng.random(shape) < 0.02] *= 1e3
     hits = detection_mask_ca_cfar(power, guard, train, pfa)
     assert np.array_equal(hits, cfar_oracle(power, guard, train, pfa))
+    # a band of rows is those rows of the whole map's mask
+    start = data.draw(st.integers(0, shape[0]), label="band start")
+    stop = data.draw(st.integers(start, shape[0]), label="band stop")
+    assert np.array_equal(detection_mask_ca_cfar(power, guard, train, pfa,
+                                                 slice(start, stop)),
+                          hits[start:stop])
     # exponential draws have no float ties, so each cluster's peak is unique
     labels, n = ndimage.label(hits, structure=np.ones((3, 3), dtype=int))
-    want = ndimage.maximum_position(power, labels, range(1, n + 1)) if n else []
-    dets = ca_cfar(power, guard, train, pfa)
+    rb = data.draw(st.integers(0, shape[0] - 1), label="range bin")
+    db = data.draw(st.integers(0, shape[1] - 1), label="doppler bin")
+    rows, cols = target_exclusion_cells(power, rb, db, halo=2)
+    touch = sorted(set(labels[rows][:, cols].ravel()) - {0})
+    want = ndimage.maximum_position(power, labels, touch) if touch else []
+    dets = ca_cfar(power, rb, db, guard, train, pfa)
     assert dets.shape == (len(want), 2)
-    assert dets.tolist() == [list(map(int, p)) for p in want]
+    assert sorted(dets.tolist()) == sorted(list(map(int, p)) for p in want)
 
 
 def test_cfar_cluster_peak_tie_goes_to_first_cell():
     power = np.ones((40, 16))
     power[20, 5:9] = 1e4          # one cluster, a four-cell plateau
     power[30, 3] = power[31, 2] = 1e4
-    assert ca_cfar(power).tolist() == [[20, 5], [30, 3]]
+    assert ca_cfar(power, 20, 7).tolist() == [[20, 5]]
+    assert ca_cfar(power, 32, 1).tolist() == [[30, 3]]
+    assert ca_cfar(power, 25, 5, gate=5).tolist() == [[20, 5], [30, 3]]
+
+
+def full_map_peaks(power, guard, train, pfa):
+    """Reference: the labels of the whole map's 8-connected CA-CFAR hit
+    clusters, and each cluster's peak (its strongest cell, the first in
+    row-major order among equal powers), in label order."""
+    hits = detection_mask_ca_cfar(power, guard, train, pfa)
+    labels, n = ndimage.label(hits, structure=np.ones((3, 3), dtype=int))
+    peaks = []
+    for lab in range(1, n + 1):
+        cells = np.argwhere(labels == lab)          # row-major
+        peaks.append(cells[np.argmax(power[labels == lab])].tolist())
+    return labels, np.array(peaks, dtype=np.intp).reshape(-1, 2)
+
+
+def check_gate_cfar(power, rb, db, guard=2, train=8, pfa=1e-4, gate=2):
+    """The gate-form ca_cfar returns the full map's peaks of exactly the
+    clusters touching the gate, and the gate decision is the full map's."""
+    labels, peaks = full_map_peaks(power, guard, train, pfa)
+    rows, cols = target_exclusion_cells(power, rb, db, halo=gate)
+    touch = sorted(set(labels[rows][:, cols].ravel()) - {0})
+    dets = ca_cfar(power, rb, db, guard, train, pfa, gate)
+    assert sorted(dets.tolist()) == sorted(peaks[i - 1].tolist() for i in touch)
+    n_d = power.shape[1]
+    got = target_detected(dets, rb, db, n_d, gate)
+    assert got == target_detected(peaks, rb, db, n_d, gate)
+    return got
+
+
+def planted_map(shape, seed, blobs, ridge, quantize):
+    """An exponential background with `blobs` (row, col, rows, cols, level)
+    planted as rectangles rising toward their last cell, and optionally a
+    diagonal ridge (8-connected, so one cluster across many rows) through
+    (row, col); `quantize` rounds every power to a few levels, so that
+    clusters have exactly tied peaks."""
+    rng = np.random.default_rng(seed)
+    power = rng.exponential(1.0, shape)
+    n_r, n_d = shape
+    for r, c, h, w, level in blobs:
+        r, c = r % n_r, c % n_d
+        block = power[r:r + h, c:c + w]
+        ramp = np.add.outer(np.arange(block.shape[0]), np.arange(block.shape[1]))
+        block += level * (1.0 + ramp)
+    if ridge is not None:
+        r0, c0, step = ridge
+        for k in range(-n_r, n_r):
+            r, c = r0 % n_r + k, c0 % n_d + k * step
+            if 0 <= r < n_r and 0 <= c < n_d:
+                power[r, c] += 1e6 * (1.0 + (k == n_r // 2))
+    if quantize:
+        power = np.round(np.log2(power))
+        power = 2.0 ** power
+    return power.astype(np.float32)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_gate_cfar_matches_the_full_map(data):
+    n_r = data.draw(st.integers(1, 80), label="rows")
+    n_d = data.draw(st.integers(1, 40), label="doppler bins")
+    blobs = data.draw(st.lists(st.tuples(
+        st.integers(0, 79), st.integers(0, 39), st.integers(1, 12),
+        st.integers(1, 4), st.sampled_from([1e2, 1e3, 1e5])), max_size=6),
+        label="blobs")
+    ridge = data.draw(st.none() | st.tuples(
+        st.integers(0, 79), st.integers(0, 39), st.sampled_from([-1, 0, 1])),
+        label="ridge")
+    power = planted_map((n_r, n_d), data.draw(st.integers(0, 2 ** 32 - 1)),
+                        blobs, ridge, data.draw(st.booleans(), label="ties"))
+    # gates at the range edges and across the Doppler wrap are drawn often
+    rb = data.draw(st.sampled_from([0, n_r - 1]) | st.integers(0, n_r - 1),
+                   label="range bin")
+    db = data.draw(st.sampled_from([0, n_d - 1]) | st.integers(0, n_d - 1),
+                   label="doppler bin")
+    guard = data.draw(st.integers(0, 3), label="guard")
+    train = data.draw(st.integers(4, 8), label="train")
+    gate = data.draw(st.integers(0, 3), label="gate")
+    check_gate_cfar(power, rb, db, guard, train, 1e-2, gate)
+
+
+def test_gate_cfar_widens_its_band_for_a_long_cluster(monkeypatch):
+    # a diagonal ridge from row 0 to row 179 crosses the gate at row 20; its
+    # peak lies at row 150, far outside the first band (rows 8..32)
+    power = np.ones((200, 256), dtype=np.float32)
+    ridge = np.arange(180)
+    power[ridge, ridge] = 1e6
+    power[150, 150] = 2e6
+    calls = []
+
+    def counted(*args):
+        calls.append(args[4])
+        return detection_mask_ca_cfar(*args)
+    monkeypatch.setattr("mirs.processing.detection_mask_ca_cfar", counted)
+    assert ca_cfar(power, 20, 20).tolist() == [[150, 150]]
+    assert calls[0] == slice(8, 33) and len(calls) > 2
+    monkeypatch.undo()
+    assert not check_gate_cfar(power, 20, 20)
+    assert check_gate_cfar(power, 150, 151)
+
+
+@pytest.mark.parametrize("rb, db, want", [
+    (21, 4, False),   # the cluster touches the gate, its peak lies outside
+    (26, 4, True),    # the peak itself
+    (0, 15, False),   # a gate at the first range row, across the Doppler wrap
+    (39, 0, True),    # a gate at the last range row, across the Doppler wrap
+])
+def test_gate_cfar_at_the_edges_and_for_an_outside_peak(rb, db, want):
+    power = np.ones((40, 16), dtype=np.float32)
+    power[20:27, 4] = 1e3 * np.arange(1, 8)     # peak at row 26
+    power[39, 15] = power[38, 1] = 1e4          # one cluster each side of the wrap
+    power[0, 3] = 1e4                           # outside the wrapped gate at 0, 15
+    assert check_gate_cfar(power, rb, db) == want
 
 
 def test_fixed_vs_cfar_under_uniform_floor_rise():
@@ -315,7 +439,7 @@ def test_doppler_gate_wraps():
     assert target_detected(d, 10, 0, 64, gate=2)
     assert not target_detected(d, 10, 8, 64, gate=2)
     # a map without hits has no detection to gate
-    none = ca_cfar(np.ones((40, 16)))
+    none = ca_cfar(np.ones((40, 16)), 10, 0)
     assert none.shape == (0, 2)
     assert not target_detected(none, 10, 0, 16)
 

@@ -140,6 +140,34 @@ def test_noise_power_level():
     assert np.array_equal(cube, scale * (a + 1j * b))
 
 
+def test_noise_cache_draws_once_per_shape_and_scale():
+    host_times = host_chirp_times(HOST, 0)
+    tgt = TargetEcho(power=1e-11, range_m=120.0)
+    em = Emitter(waveform=replace(HOST, carrier=HOST.carrier - 2e6),
+                 amplitude=1e-6, chirp_times=host_times[:8])
+    noise = ThermalModel(noise_figure_db=12.0)
+    cache = {}
+    for targets, emitters in (([tgt], [em]), ([], []), ([tgt], [])):
+        want = synthesize_dwell(HOST, host_times, targets, emitters, noise,
+                                np.random.default_rng(3))
+        # the first call draws from its stream; later calls ignore theirs
+        got = synthesize_dwell(HOST, host_times, targets, emitters, noise,
+                               np.random.default_rng(7 if cache else 3),
+                               noise_cache=cache)
+        assert np.array_equal(got, want)
+    assert len(cache) == 1
+    clean = synthesize_dwell(HOST, host_times, [], [], noise,
+                             np.random.default_rng(3))
+    assert np.array_equal(next(iter(cache.values())), clean)
+    # a cube of another shape or noise level gets its own draw
+    for times, nf in ((host_times[:32], 12.0), (host_times, 15.0)):
+        got = synthesize_dwell(HOST, times, [], [], ThermalModel(nf),
+                               np.random.default_rng(3), noise_cache=cache)
+        assert np.array_equal(got, synthesize_dwell(
+            HOST, times, [], [], ThermalModel(nf), np.random.default_rng(3)))
+    assert len(cache) == 3
+
+
 def test_superposition_exact_under_shared_noise_seed():
     host_times = host_chirp_times(HOST, 0)
     tgt = TargetEcho(power=1e-11, range_m=120.0)
