@@ -8,6 +8,7 @@ MIRS_OUTPUT_DIR environment variable overrides the output directory only.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -32,6 +33,19 @@ def _config_from_args(args) -> RunConfig:
         except ValueError:
             raise ConfigurationError(f"bad --rates: {args.rates!r}")
     return harness.load_config(args.config, **over)
+
+
+def _out_path(path: str) -> str:
+    """`path`, once its parent directory exists and it can be written: a bad
+    output location fails before any scene or dwell.  The file itself is
+    written, replacing any file there, only when the run has succeeded."""
+    parent = os.path.dirname(path) or "."
+    os.makedirs(parent, exist_ok=True)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+    return path
 
 
 def _add_common(p):
@@ -96,6 +110,7 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     if args.cmd == "generate-scenario":
         cfg = _config_from_args(args)
+        _out_path(args.out)
         scen = harness.build_scene(cfg, 0)
         save_scenario(scen, args.out)
         print(f"wrote {args.out}")
@@ -104,7 +119,7 @@ def _dispatch(args) -> int:
     if args.cmd == "sweep":
         cfg = _config_from_args(args)
         outdir = output_dir(cfg.output_dir)
-        path = args.out or os.path.join(outdir, f"{cfg.label}.csv")
+        path = _out_path(args.out or os.path.join(outdir, f"{cfg.label}.csv"))
         results = harness.run_sweep(cfg, csv_path=path)
         print(f"{len(results)} rows -> {path}")
         return 0
@@ -118,6 +133,8 @@ def _dispatch(args) -> int:
                 raise ConfigurationError(f"bad --counts: {args.counts!r}")
             if 0 not in counts:   # the rise curve is read against count 0
                 raise ConfigurationError("--counts must include 0, the baseline")
+        if args.out:
+            _out_path(args.out)
         layout = harness.field_layout() if args.field else None
         floors = harness.run_anechoic_analog(
             n_interferers=args.n_interferers, layout=layout, counts=counts,

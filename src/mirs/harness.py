@@ -549,6 +549,8 @@ def run_sweep(cfg: RunConfig, csv_path: str = None):
     """All (seed, rate) cells of one config; returns SweepResults seed-major,
     rate-minor and optionally writes them as one CSV.  Each pool task runs
     `_rates_per_task` of one seed's rates on one build of its scene."""
+    if csv_path is not None:   # a bad location fails before any cell
+        os.makedirs(os.path.dirname(csv_path) or ".", exist_ok=True)
     rates = cfg.penetration_rates
     k = _rates_per_task(cfg.n_seeds, len(rates), cfg.workers)
     tasks = [(cfg, s, rates[i:i + k]) for s in range(cfg.n_seeds)
@@ -562,7 +564,6 @@ def run_sweep(cfg: RunConfig, csv_path: str = None):
     results = [r for rows in per_task for r in rows]
     if csv_path is not None:
         text = results_csv(cfg, results)
-        os.makedirs(os.path.dirname(csv_path) or ".", exist_ok=True)
         with open(csv_path, "w", newline="") as f:
             f.write(text)
     return results

@@ -18,8 +18,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .waveform import (WAVEFORM_FIELDS, RadarType, WaveformConfig,
-                       apply_clock_drift, check_waveform_rows, draw_uniform,
-                       draw_waveform)
+                       apply_clock_drift, check_waveform_rows, draw_waveforms)
 
 CAR_SIZE = (2.0, 5.0)     # width, length [m]
 TRUCK_SIZE = (2.6, 13.0)
@@ -328,27 +327,41 @@ HOST_MOUNTS = {RadarType.LRR: ((1, 0), 0.0), RadarType.SRR: ((1, 0), 0.0),
 def install_radars(scenario: Scenario, topology: Topology,
                    host_type: RadarType, rng: np.random.Generator) -> Scenario:
     """Give the host vehicle its single radar-under-test and every other
-    vehicle the topology's radar set, vehicle by vehicle, each radar with
-    its own waveform draws and then its clock-drift draw."""
+    vehicle the topology's radar set.  In (vehicle row, index) order, each
+    radar takes its waveform draws and then its clock-drift draw, all from
+    one `draw_waveforms` block."""
     if host_type not in HOST_MOUNTS:
         raise ConfigurationError(f"{host_type} cannot be a host radar type")
     if scenario.radars["vehicle"].size:
         raise ConfigurationError("scene already carries radars")
+    # the topology's layout and then the host's, mounts in units of the half
+    # length and half width
+    (sx, sy), bore = HOST_MOUNTS[host_type]
+    layout = radar_layout(topology, 2.0, 2.0) + [(host_type, (sx, sy), bore)]
+    types, mounts, bores = zip(*layout)
     v = scenario.vehicles
-    rows = []
-    for i, (width, length) in enumerate(zip(v["width"].tolist(),
-                                            v["length"].tolist())):
-        if i == scenario.host:
-            (sx, sy), bore = HOST_MOUNTS[host_type]
-            layout = [(host_type, (sx * length / 2.0, sy * width / 2.0), bore)]
-        else:
-            layout = radar_layout(topology, width, length)
-        for j, (t, (mx, my), bore) in enumerate(layout):
-            rows.append((i, j, mx, my, bore, FOV_HALFWIDTH[t], t.value,
-                         *draw_waveform(t, rng),
-                         draw_uniform(rng, -CLOCK_DRIFT_PPM, CLOCK_DRIFT_PPM),
-                         *UNASSIGNED))
-    radars = _table(RADAR_COLUMNS, rows)
+    host = np.arange(v["id"].size) == scenario.host
+    n = np.where(host, 1, len(layout) - 1)
+    vehicle = np.repeat(np.arange(n.size), n)
+    index = np.arange(vehicle.size) - (np.cumsum(n) - n)[vehicle]
+    entry = np.where(host[vehicle], len(layout) - 1, index)
+
+    def per_row(values, dtype=float):
+        return np.array(values, dtype)[entry]
+
+    radar_type = per_row([t.value for t in types], RADAR_COLUMNS["radar_type"])
+    waveforms, (u,) = draw_waveforms(radar_type, rng, extra=1)
+    cols = dict(
+        vehicle=vehicle, index=index,
+        mount_x=per_row([m[0] for m in mounts]) * (v["length"] / 2.0)[vehicle],
+        mount_y=per_row([m[1] for m in mounts]) * (v["width"] / 2.0)[vehicle],
+        boresight=per_row(bores),
+        fov_halfwidth=per_row([FOV_HALFWIDTH[t] for t in types]),
+        radar_type=radar_type, **waveforms,
+        drift_ppm=-CLOCK_DRIFT_PPM + 2 * CLOCK_DRIFT_PPM * u,
+        **{c: np.full(vehicle.size, x, RADAR_COLUMNS[c])
+           for c, x in zip(list(RADAR_COLUMNS)[-len(UNASSIGNED):], UNASSIGNED)})
+    radars = {c: cols[c] for c in RADAR_COLUMNS}
     check_waveform_rows(radars)
     return replace(scenario, radars=radars)
 

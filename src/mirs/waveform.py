@@ -2,7 +2,9 @@
 
 Waveform ranges for the three analysis radar classes (LRR / SRR / SBZA) are
 uniformly randomized; the USRR class exists only as an interferer profile for
-the chamber/field experiment analogs.
+the chamber/field experiment analogs.  `draw_waveforms` draws the waveforms
+of many radars from one block of PCG64 words, exactly as one numpy call per
+quantity would; `sample_waveform` is its one-radar case.
 """
 from __future__ import annotations
 
@@ -112,46 +114,119 @@ WAVEFORM_RANGES = {
 }
 
 
-def draw_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
-    """`rng.uniform(lo, hi)`, bit for bit and from the same stream position,
-    for under a third of its per-call cost: numpy computes lo + (hi - lo) * u
-    from the next double, and so does this."""
-    return lo + (hi - lo) * rng.random()
+# numpy's PCG64 arithmetic: a double is the top 53 bits of the next word; a
+# 32-bit draw takes a buffered high half, or the low half of a fresh word and
+# buffers its high half
+_DOUBLE = 2.0 ** -53
+_LOW32 = np.uint64(0xFFFFFFFF)
+_PRE = ("pri", "slope", "chirp_duration", "carrier")   # the draws before n_chirps
 
 
-def draw_waveform(radar_type: RadarType, rng: np.random.Generator,
-                  interferer_ok: bool = False) -> tuple:
-    """Draw one waveform uniformly from the per-type parameter ranges: the
-    values of WaveformConfig's fields, in field order."""
-    if not isinstance(radar_type, RadarType):
-        raise ConfigurationError(f"unknown radar type: {radar_type!r}")
-    if radar_type is RadarType.USRR and not interferer_ok:
-        raise ConfigurationError("USRR is an interferer-only profile")
-    spec = WAVEFORM_RANGES[radar_type]
+def draw_waveforms(types, rng: np.random.Generator, extra: int = 0):
+    """Waveforms of radars of `types` (RadarType values), each followed by
+    `extra` uniforms on [0, 1): ({WAVEFORM_FIELDS name: column}, [the extra
+    columns]), every column its own array.
 
-    pri = draw_uniform(rng, *spec["pri"])
-    slope = draw_uniform(rng, *spec["slope"])
-    chirp_duration = draw_uniform(rng, *spec["chirp_duration"])
-    # Re-draw the chirp duration if the draw order allowed a violation.
-    for _ in range(1000):
-        if chirp_duration <= pri:
+    Values and the generator state left behind are those of drawing radar
+    after radar with `rng.uniform` for pri, slope, chirp_duration and
+    carrier, `rng.integers` for n_chirps, `rng.uniform` for fps and
+    start_offset (on [0, pri)), then `extra` `rng.random()` calls.  They come
+    from one `random_raw` block of the PCG64 stream: a uniform is
+    lo + (hi - lo) * u of the double u of its word, and n_chirps is numpy's
+    Lemire draw on 32-bit halves.  A half whose draw numpy rejects (about one
+    in 2.7e8) gives its radar one more half, and the layout of every later
+    radar is recomputed.  chirp_duration is never redrawn: in each
+    WAVEFORM_RANGES class its maximum is at most the pri minimum.
+    """
+    bg = rng.bit_generator
+    if type(bg) is not np.random.PCG64:
+        raise ConfigurationError(
+            f"waveform draws need a PCG64 generator, not {type(bg).__name__}")
+    names, code = np.unique(np.asarray(types, dtype=str), return_inverse=True)
+    try:
+        specs = [WAVEFORM_RANGES[RadarType(t)] for t in names]
+    except ValueError as e:
+        raise ConfigurationError(f"unknown radar type: {e}") from None
+
+    def per_row(f, dtype=float, i=None):
+        return np.array([s[f] if i is None else s[f][i] for s in specs],
+                        dtype)[code]
+
+    n, d = code.size, 6 + extra    # d: the doubles of one radar
+    first = per_row("n_chirps", np.uint64, 0)
+    excl = per_row("n_chirps", np.uint64, 1) - first + np.uint64(1)
+    reject = (np.uint64(2 ** 32) - excl) % excl   # numpy's Lemire threshold
+    state = bg.state
+    spare = state["has_uint32"]
+
+    # Half h >= 0 is half h % 2 of fresh word h // 2, and half -1 the
+    # buffered one.  Radar i takes halves [end[i] - c[i], end[i]) and keeps
+    # the last.  Fresh word m follows the four first doubles of the radar
+    # taking half 2m: it is word d * (that radar) + 4 + m of the block.
+    def fresh(m):
+        return d * np.searchsorted(end, 2 * m, side="right") + 4 + m
+
+    c = np.ones(n, np.int64)
+    words = np.empty(0, np.uint64)
+    while True:
+        end = np.cumsum(c) - spare
+        taken = int(c.sum()) - spare    # halves after the buffered one
+        need = d * n + (taken + 1) // 2
+        if need > words.size:
+            words = np.concatenate([words, bg.random_raw(need - words.size)])
+        kept = end - 1
+        w = words[fresh(kept // 2)]
+        x32 = np.where(kept % 2, w >> np.uint64(32), w & _LOW32)
+        x32[kept < 0] = state["uinteger"]
+        lemire = x32 * excl
+        bad = np.flatnonzero((lemire & _LOW32) < reject)
+        if not bad.size:
             break
-        chirp_duration = draw_uniform(rng, *spec["chirp_duration"])
-    else:
-        raise ConfigurationError("chirp_duration range incompatible with PRI range")
-    carrier = draw_uniform(rng, *spec["carrier"])
-    n_chirps = int(rng.integers(spec["n_chirps"][0], spec["n_chirps"][1] + 1))
-    fps = draw_uniform(rng, *spec["fps"])
-    start_offset = draw_uniform(rng, 0.0, pri)
-    return (pri, slope, chirp_duration, carrier, n_chirps, fps,
-            spec["n_elements"], spec["tx_power"], spec["element_gain"],
-            DEFAULT_ADC_RATE_HZ, start_offset)
+        c[bad[0]] += 1
+
+    # leave the buffered half and the stale one where the scalar draws would
+    last = (taken - 1) // 2    # the last fresh word, if any
+    state = bg.state
+    state["has_uint32"] = taken % 2
+    if last >= 0:
+        state["uinteger"] = int(words[fresh(last)] >> np.uint64(32))
+    bg.state = state
+
+    # a radar's first four doubles follow the fresh words of the radars
+    # before it, and its last ones its own fresh words
+    pre = d * np.arange(n) + (end - c + 1) // 2
+    post = d * np.arange(n) + 4 + (end + 1) // 2
+
+    def unit(at):
+        return (words[at] >> np.uint64(11)).astype(np.float64) * _DOUBLE
+
+    def uniform(lo, hi, at):
+        return lo + (hi - lo) * unit(at)
+
+    def ranged(f, at):
+        return uniform(per_row(f, i=0), per_row(f, i=1), at)
+
+    cols = {f: ranged(f, pre + k) for k, f in enumerate(_PRE)}
+    cols["n_chirps"] = (first + (lemire >> np.uint64(32))).astype(np.int64)
+    cols["fps"] = ranged("fps", post)
+    cols["n_elements"] = per_row("n_elements", np.int64)
+    cols["tx_power"] = per_row("tx_power")
+    cols["element_gain"] = per_row("element_gain")
+    cols["adc_rate"] = np.full(n, DEFAULT_ADC_RATE_HZ)
+    cols["start_offset"] = uniform(0.0, cols["pri"], post + 1)
+    return cols, [unit(post + 2 + k) for k in range(extra)]
 
 
 def sample_waveform(radar_type: RadarType, rng: np.random.Generator,
                     interferer_ok: bool = False) -> WaveformConfig:
-    """One WaveformConfig of `draw_waveform`'s draws."""
-    return WaveformConfig(*draw_waveform(radar_type, rng, interferer_ok))
+    """One waveform drawn uniformly from the per-type parameter ranges: the
+    one-radar case of `draw_waveforms`."""
+    if not isinstance(radar_type, RadarType):
+        raise ConfigurationError(f"unknown radar type: {radar_type!r}")
+    if radar_type is RadarType.USRR and not interferer_ok:
+        raise ConfigurationError("USRR is an interferer-only profile")
+    cols, _ = draw_waveforms([radar_type.value], rng)
+    return WaveformConfig(*(cols[k][0].item() for k in WAVEFORM_FIELDS))
 
 
 def check_waveform_rows(w) -> None:

@@ -5,6 +5,7 @@ import os
 import pytest
 
 from mirs.cli import main
+from mirs.errors import ConfigurationError
 from mirs.scenario import load_scenario
 
 
@@ -383,3 +384,39 @@ def test_malformed_scenario_file_fails_before_any_dwell(
     err = capsys.readouterr().err
     assert err.startswith(f"error: {scene}{why}")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, work", [
+    (["generate-scenario", "--density", "low"], "build_scene"),
+    (["sweep", "--density", "low", "--n-seeds", "1", "--n-dwells", "2",
+      "--rates", "0,1"], "build_scene"),
+    (["anechoic", "--n-seeds", "1", "--n-dwells", "3"], "run_anechoic_analog"),
+], ids=["generate_scenario", "sweep", "anechoic"])
+@pytest.mark.parametrize("out", [
+    "file/x.out",   # the parent is a regular file: no directory can be made
+    "dir",          # --out names a directory
+], ids=["parent_is_a_file", "out_is_a_directory"])
+def test_unwritable_out_fails_before_any_work(tmp_path, capsys, monkeypatch,
+                                              argv, work, out):
+    calls = []
+    monkeypatch.setattr(f"mirs.harness.{work}",
+                        lambda *a, **k: calls.append(a))
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
+    assert main(argv + ["--out", str(tmp_path / out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert calls == []
+
+
+def test_failed_sweep_keeps_the_existing_out_file(tmp_path, capsys,
+                                                  monkeypatch):
+    def fail(*args, **kwargs):
+        raise ConfigurationError("no scene today")
+    monkeypatch.setattr("mirs.harness.build_scene", fail)
+    out = tmp_path / "o.csv"
+    out.write_text("earlier results\n")
+    assert main(["sweep", "--density", "low", "--n-seeds", "1",
+                 "--n-dwells", "1", "--rates", "0", "--out", str(out)]) == 1
+    assert "no scene today" in capsys.readouterr().err
+    assert out.read_text() == "earlier results\n"

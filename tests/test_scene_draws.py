@@ -1,29 +1,36 @@
 """Scene preparation against a scalar-draw reference.
 
-The library writes a scene's radars into the columns of one radar table: a
-radar's uniforms are scalar `draw_uniform` calls, the penetration draws one
-`rng.random` call per scene and every carrier of a frequency-allocating
-technique one `rng.uniform` call, and each transform writes whole columns.
-The reference below keeps the scene as objects (tests/scene_objects.py),
-draws one scalar per quantity with `rng.uniform` and rebuilds each radar
+The library writes a scene's radars into the columns of one radar table.
+Every radar's waveform and clock-drift draws come from one block of raw
+PCG64 words (`draw_waveforms`), which reproduces numpy's doubles and its
+buffered 32-bit Lemire integers; the penetration draws one `rng.random`
+call per scene and every carrier of a frequency-allocating technique one
+`rng.uniform` call, and each transform writes whole columns.  The reference
+below keeps the scene as objects (tests/scene_objects.py), draws one scalar
+per quantity with `rng.uniform` and `rng.integers` and rebuilds each radar
 record with `dataclasses.replace`.  Both must give the same scene, compared
 through `scenario_to_dict` with every technique field, for the same seeds.
+`draw_waveforms` is also checked alone against the scalar draws, from both
+buffered-half states and across rejected halves, down to the generator
+state it leaves.
 """
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mirs import harness as H
 from mirs.errors import ConfigurationError
 from mirs.mitigation import BAND_LO_HZ, BAND_TOTAL_HZ, MitigationPlan, Technique
-from mirs.scenario import (CLOCK_DRIFT_PPM, FOV_HALFWIDTH, Polarization, Topology,
-                           generate_highway, radar_layout, scenario_from_dict,
-                           scenario_to_dict)
-from mirs.waveform import (DEFAULT_ADC_RATE_HZ, WAVEFORM_RANGES,
-                           RadarType, WaveformConfig, sample_waveform)
+from mirs.scenario import (CLOCK_DRIFT_PPM, FOV_HALFWIDTH, RADAR_COLUMNS,
+                           Polarization, Topology, _table, generate_highway,
+                           radar_layout, scenario_from_dict, scenario_to_dict)
+from mirs.waveform import (DEFAULT_ADC_RATE_HZ, WAVEFORM_FIELDS,
+                           WAVEFORM_RANGES, RadarType, WaveformConfig,
+                           draw_waveforms, sample_waveform)
 from scene_objects import ObjRadar, objects_from_scene, scene_dict
 
 
@@ -251,3 +258,107 @@ def test_sample_waveform_matches_scalar_reference(radar_type, seed):
         assert (sample_waveform(radar_type, a, interferer_ok=True)
                 == ref_sample_waveform(radar_type, b))
     assert a.random() == b.random()
+
+
+# ---------------------------------------------------------------------------
+# the block draw of many radars against one scalar draw per quantity
+
+def twin_generators(seed, spare, skip=0, uinteger=12345):
+    """Two generators on PCG64(seed) advanced by `skip` words, both with
+    has_uint32 = `spare` (and buffered half `uinteger`)."""
+    bg = np.random.PCG64(seed)
+    bg.advance(skip)
+    state = {**bg.state, "has_uint32": spare, "uinteger": uinteger}
+    out = []
+    for _ in range(2):
+        g = np.random.PCG64()
+        g.state = state
+        out.append(np.random.Generator(g))
+    return out
+
+
+def check_draws(types, a, b, extra):
+    """draw_waveforms(types, a, extra) against ref_sample_waveform and
+    `extra` rng.random() calls per radar on b: same values, same generator
+    state and the same next draws."""
+    cols, extras = draw_waveforms(np.array(types), a, extra)
+    assert len(extras) == extra
+    for i, t in enumerate(types):
+        wf = ref_sample_waveform(RadarType(t), b)
+        assert tuple(cols[k][i].item() for k in WAVEFORM_FIELDS) == astuple(wf)
+        assert [e[i] for e in extras] == [b.random() for _ in range(extra)]
+    assert a.bit_generator.state == b.bit_generator.state
+    assert a.integers(0, 1000) == b.integers(0, 1000)
+    assert a.random() == b.random()
+
+
+@settings(max_examples=60, deadline=None)
+@given(types=st.lists(st.sampled_from([t.value for t in RadarType]),
+                      max_size=12),
+       spare=st.sampled_from([0, 1]), extra=st.integers(0, 2),
+       seed=st.integers(0, 2 ** 32), uinteger=st.integers(0, 2 ** 32 - 1))
+def test_draw_waveforms_matches_scalar_reference(types, spare, extra, seed,
+                                                 uinteger):
+    check_draws(types, *twin_generators(seed, spare, uinteger=uinteger), extra)
+
+
+@pytest.mark.parametrize("radar_type", list(RadarType))
+@pytest.mark.parametrize("spare", [0, 1])
+def test_each_class_matches_scalar_reference(radar_type, spare):
+    # 40 radars of one class and a drift each, as install_radars draws them
+    check_draws([radar_type.value] * 40, *twin_generators(3, spare), 1)
+
+
+# Two 32-bit halves of the PCG64(2026) stream that numpy's Lemire draw
+# rejects for the 129 values of a 128-256 n_chirps range: (word, half, value).
+# An offline scan of the first 1.4e9 words found them (about 22 s).
+REJECTED_HALVES = [(95_261_253, 1, 3_462_609_293),
+                   (1_411_819_574, 0, 532_709_122)]
+# radars 2, 3 and 4 are of the 128-256 classes
+REJECTION_TYPES = ["LRR", "SRR", "SBZA", "SRR", "SBZA", "USRR", "LRR", "SRR",
+                   "SBZA", "LRR"]
+
+
+@pytest.mark.parametrize("word, half, value", REJECTED_HALVES)
+@pytest.mark.parametrize("spare", [0, 1])
+def test_rejected_n_chirps_half_matches_scalar_reference(word, half, value,
+                                                         spare):
+    bg = np.random.PCG64(2026)
+    bg.advance(word)
+    w = int(bg.random_raw())
+    assert (w >> 32 * half) & 0xFFFFFFFF == value
+    assert value * 129 % 2 ** 32 < (2 ** 32 - 129) % 129    # rejected
+    # With one buffered half (spare) and no rejection before, radar i takes
+    # half h = i - spare; fresh word h // 2 comes after the four first
+    # doubles of the radar taking half 2 * (h // 2), at 7 * that radar + 4
+    # + h // 2 (7 doubles per radar with the drift).  Place the rejected
+    # half at radar 2 + half + spare, a 128-256 radar early in the block.
+    h = 2 + half
+    radar = h + spare
+    skip = word - (7 * (radar - half) + 4 + h // 2)
+    assert REJECTION_TYPES[radar] in ("SRR", "SBZA", "USRR")
+    check_draws(REJECTION_TYPES, *twin_generators(2026, spare, skip), 1)
+
+
+def test_draw_waveforms_needs_pcg64_and_known_types():
+    with pytest.raises(ConfigurationError, match="PCG64"):
+        draw_waveforms(["SRR"], np.random.Generator(np.random.MT19937(0)))
+    with pytest.raises(ConfigurationError, match="unknown radar type"):
+        draw_waveforms(["MRR"], np.random.default_rng(0))
+
+
+def test_dense_full_srr_scene_matches_scalar_reference():
+    # the highway_dense shape: 334 vehicles, 2,332 radars
+    cfg = H.RunConfig(density="high", topology=Topology.FULL,
+                      host_type=RadarType.SRR, seed=11)
+    check_against_reference(cfg, 2, 1.0)
+
+
+def test_radar_columns_are_own_arrays_of_the_table_dtypes():
+    scene = H.build_scene(H.RunConfig(density="low", topology=Topology.FULL,
+                                      host_type=RadarType.SBZA), 0)
+    rows = zip(*(c.tolist() for c in scene.radars.values()))
+    for k, c in _table(RADAR_COLUMNS, rows).items():
+        got = scene.radars[k]
+        assert got.dtype == c.dtype and got.shape == c.shape
+        assert got.flags.c_contiguous and got.flags.owndata

@@ -45,6 +45,13 @@ def test_sampled_quartiles_near_uniform():
             assert abs(np.quantile(u, q) - q) < 0.03
 
 
+def test_chirp_duration_always_fits_the_pri():
+    # draw_waveforms never redraws chirp_duration: in every class its
+    # largest value is at most the smallest pri
+    for spec in WAVEFORM_RANGES.values():
+        assert spec["chirp_duration"][1] <= spec["pri"][0]
+
+
 def test_usrr_requires_interferer_flag():
     rng = np.random.default_rng(0)
     with pytest.raises(ConfigurationError):
