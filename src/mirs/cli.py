@@ -12,26 +12,32 @@ import errno
 import json
 import os
 import sys
-from dataclasses import fields
+import typing
 
 from . import harness
 from .errors import ConfigurationError
-from .harness import RunConfig, output_dir
+from .harness import RunConfig, output_dir, read_yaml
 from .mitigation import Technique
 from .scenario import Topology, save_scenario
 
 
 def _config_from_args(args) -> RunConfig:
     """The --config file's RunConfig with each flag given on the command line
-    (a RunConfig field, `preset` or `technique`) overriding its key."""
-    keys = {f.name for f in fields(RunConfig)} | {"preset", "technique"}
-    over = {k: v for k, v in vars(args).items()
-            if k in keys and v is not None}
+    (a RunConfig field, `preset` or `technique`) overriding its key.  A
+    flag's text is read, and checked, as a config file's value: a str
+    field's as given, any other's as YAML, and --rates as comma-separated
+    YAML numbers."""
+    def value(text):
+        return read_yaml(text, f"config value {text!r}")
+    kinds = typing.get_type_hints(RunConfig)
+    over = {k: v if kinds.get(k) is str else value(v)
+            for k, v in vars(args).items()
+            if k in kinds.keys() | {"preset", "technique"} and v is not None}
     if args.rates is not None:
-        try:
-            over["penetration_rates"] = tuple(map(float, args.rates.split(",")))
-        except ValueError:
+        rates = [value(r) for r in args.rates.split(",")]
+        if not all(type(r) in (int, float) for r in rates):
             raise ConfigurationError(f"bad --rates: {args.rates!r}")
+        over["penetration_rates"] = tuple(map(float, rates))
     return harness.load_config(args.config, **over)
 
 
@@ -50,18 +56,18 @@ def _out_path(path: str) -> str:
 
 def _add_common(p):
     p.add_argument("--config", help="YAML config file")
-    p.add_argument("--preset", type=int, help="scene-matrix cell index 0..26")
+    p.add_argument("--preset", help="scene-matrix cell index 0..26")
     p.add_argument("--label")
-    p.add_argument("--density", choices=("low", "medium", "high"))
-    p.add_argument("--topology", choices=[t.value for t in Topology])
+    p.add_argument("--density", help=", ".join(harness.DENSITY_ORDER))
+    p.add_argument("--topology", help=", ".join(t.value for t in Topology))
     p.add_argument("--host-type", dest="host_type",
-                   choices=("LRR", "SRR", "SBZA"))
-    p.add_argument("--technique", choices=[t.value for t in Technique])
-    p.add_argument("--seed", type=int)
-    p.add_argument("--n-seeds", dest="n_seeds", type=int)
-    p.add_argument("--n-dwells", dest="n_dwells", type=int)
+                   help=", ".join(h.value for h in harness.HOST_ORDER))
+    p.add_argument("--technique", help=", ".join(t.value for t in Technique))
+    p.add_argument("--seed")
+    p.add_argument("--n-seeds", dest="n_seeds")
+    p.add_argument("--n-dwells", dest="n_dwells")
     p.add_argument("--rates", help="comma-separated penetration rates")
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers")
     p.add_argument("--output-dir", dest="output_dir")
 
 

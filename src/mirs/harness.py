@@ -7,6 +7,7 @@ execution order and worker count.
 """
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import csv
 import enum
@@ -16,7 +17,7 @@ import numbers
 import os
 import re
 import typing
-from dataclasses import astuple, dataclass, fields, is_dataclass, replace
+from dataclasses import astuple, dataclass, fields, is_dataclass
 
 import numpy as np
 import scipy
@@ -32,14 +33,14 @@ from .processing import (WINDOWS, ca_cfar, noise_floor, range_chirp,
                          target_snr_db, zero_doppler_bin)
 from .propagation import (PATH_KINDS, PathKind, echo_power, one_way_gain,
                           paths, vehicle_rects)
-from .scenario import (CAR_SIZE, CLOCK_DRIFT_PPM, Scenario, Topology, advance,
-                       assign_penetration, generate_highway, install_radars,
-                       load_scenario, radar_layout)
+from .scenario import (CAR_SIZE, CLOCK_DRIFT_PPM, FOV_HALFWIDTH, Scenario,
+                       Topology, advance, assign_penetration, generate_highway,
+                       install_radars, load_scenario, radar_layout)
 from .synthesis import (Emitter, TargetEcho, ThermalModel, add_emitters,
                         can_beat_in_band, chirp_times_in_window,
                         host_chirp_times, synthesize_dwell, write_cube)
 from .waveform import (DEFAULT_ADC_RATE_HZ, WAVEFORM_RANGES, RadarType,
-                       WaveformConfig, apply_clock_drift, sample_waveform)
+                       WaveformConfig, apply_clock_drift, draw_waveforms)
 
 # rng substream tags (arbitrary distinct constants)
 SCEN_TAG = 0x5C3E
@@ -289,27 +290,33 @@ def config_from_dict(d: dict) -> RunConfig:
         raise ConfigurationError(f"bad config value: {e}")
 
 
+def read_yaml(stream, source: str):
+    """The YAML document of `stream` (a config file, or a config value's
+    text); a syntax error raises a one-line ConfigurationError naming
+    `source`."""
+    import yaml
+
+    class Loader(yaml.SafeLoader):
+        """YAML 1.1 reads an exponent without a dot or a sign (1e-4,
+        1.5e3) as a string; read it as a float, as YAML 1.2 does."""
+    Loader.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9][0-9_]*)"
+                   r"[eE][-+]?[0-9]+$"),
+        list("-+0123456789."))
+    try:
+        return yaml.load(stream, Loader)
+    except yaml.YAMLError as e:
+        raise ConfigurationError(f"bad {source}: " + " ".join(str(e).split()))
+
+
 def load_config(path=None, **overrides) -> RunConfig:
     """RunConfig from a YAML config file (none: defaults only); keyword
     overrides win over the file's keys."""
     doc = {}
     if path:
-        import yaml
-
-        class Loader(yaml.SafeLoader):
-            """YAML 1.1 reads an exponent without a dot or a sign (1e-4,
-            1.5e3) as a string; read it as a float, as YAML 1.2 does."""
-        Loader.add_implicit_resolver(
-            "tag:yaml.org,2002:float",
-            re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9][0-9_]*)"
-                       r"[eE][-+]?[0-9]+$"),
-            list("-+0123456789."))
         with open(path) as f:
-            try:
-                doc = yaml.load(f, Loader) or {}
-            except yaml.YAMLError as e:
-                raise ConfigurationError(f"bad config file {path}: "
-                                         + " ".join(str(e).split()))
+            doc = read_yaml(f, f"config file {path}") or {}
         if not isinstance(doc, dict):
             raise ConfigurationError(f"bad config file {path}: not a mapping "
                                      "of keys to values")
@@ -369,10 +376,23 @@ class DwellResult:
     n_emitters: int = 0
 
 
-# one row per interferer radar of a snapshot, built afresh for every dwell
-RADAR_ROW = np.dtype([("vehicle", np.intp), ("radar", np.intp)] + [
-    (f, float) for f in ("x", "y", "bore", "fov", "gain", "carrier", "slope",
-                         "chirp_duration")])
+# One row per interferer radar of a snapshot or of the chamber: vehicle and
+# radar-table row (a chamber interferer's index), world pose, sector, antenna
+# gain and the drifted waveform fields that chirp timing, amplitude and the
+# beat synthesis read.  An emitter's row is a RadarRow of Python values.
+RADAR_ROW = np.dtype([(f, np.intp if f in ("vehicle", "radar", "n_chirps")
+                       else float) for f in (
+    "vehicle", "radar", "x", "y", "bore", "fov", "gain", "carrier", "slope",
+    "chirp_duration", "pri", "n_chirps", "fps", "start_offset", "tx_power")])
+ROW_WAVEFORM = RADAR_ROW.names[7:]
+RadarRow = collections.namedtuple("RadarRow", RADAR_ROW.names)
+
+
+def interferer_rows(vehicle, radar, x, y, bore, fov, wf) -> np.recarray:
+    """RADAR_ROW rows of radars with the drifted waveform columns `wf`."""
+    return np.rec.fromarrays(
+        (vehicle, radar, x, y, bore, fov, wf["n_elements"] * wf["element_gain"],
+         *(wf[k] for k in ROW_WAVEFORM)), dtype=RADAR_ROW)
 
 
 def build_emitters(snap: Scenario, host_pos, host_bore, host_row: int,
@@ -385,14 +405,11 @@ def build_emitters(snap: Scenario, host_pos, host_bore, host_row: int,
     rows = np.flatnonzero(r["vehicle"] != snap.host)
     if not rows.size:
         return []
-    # the clock-drift products of apply_clock_drift
-    f = 1.0 + r["drift_ppm"][rows] * 1e-6
-    table = np.rec.fromarrays(
-        (r["vehicle"][rows], rows, *snap.radar_poses(rows),
-         r["fov_halfwidth"][rows],
-         r["n_elements"][rows] * r["element_gain"][rows],
-         r["carrier"][rows] * f, r["slope"][rows] * f,
-         r["chirp_duration"][rows] / f), dtype=RADAR_ROW)
+    wf = apply_clock_drift(
+        {k: r[k][rows] for k in ROW_WAVEFORM + ("n_elements", "element_gain")},
+        r["drift_ppm"][rows])
+    table = interferer_rows(r["vehicle"][rows], rows, *snap.radar_poses(rows),
+                            r["fov_halfwidth"][rows], wf)
     tx = table[can_beat_in_band(host_wf, table)]
     p = paths(tx, host_pos, host_bore, r["fov_halfwidth"][host_row],
               snap.host, vehicle_rects(v), snap.geometry)
@@ -400,28 +417,27 @@ def build_emitters(snap: Scenario, host_pos, host_bore, host_row: int,
     live = p[~p.blocked]
     out = []
     last = -1
-    for row, kind, length, g in zip(
-            tx.radar[live.row].tolist(), live.kind.tolist(),
-            live.length.tolist(), gains.tolist()):
+    for j, kind, length, g in zip(live.row.tolist(), live.kind.tolist(),
+                                  live.length.tolist(), gains.tolist()):
         if g <= 0.0:
             continue
         kind = PATH_KINDS[kind]
         delay = length / C0
-        if row != last:       # the radar's first path sets its chirp window
-            last = row
-            key = (int(v["id"][r["vehicle"][row]]), int(r["index"][row]))
-            wf_i = snap.waveform(row)
+        if j != last:       # the radar's first path sets its chirp window
+            last = j
+            row = RadarRow._make(tx[j].tolist())
+            key = (int(v["id"][row.vehicle]), int(r["index"][row.radar]))
             times = chirp_times_in_window(
-                wf_i, t0 - delay, t1 - delay, tf_slot=snap.tf_slot(row),
-                dither_bound=r["dither_bound"][row].item(),
+                row, t0 - delay, t1 - delay, tf_slot=snap.tf_slot(row.radar),
+                dither_bound=r["dither_bound"][row.radar].item(),
                 dither_seed=tuple(seed_key) + key)
         if times.size == 0:
             continue
-        g *= cross_pol_factor(r["polarization"][row],
+        g *= cross_pol_factor(r["polarization"][row.radar],
                               r["polarization"][host_row],
                               reflected=kind is not PathKind.DIRECT)
         out.append(Emitter(
-            waveform=wf_i, amplitude=math.sqrt(wf_i.tx_power * g),
+            waveform=row, amplitude=math.sqrt(row.tx_power * g),
             chirp_times=times + delay, key=key + (kind.value,)))
     return out
 
@@ -524,12 +540,6 @@ def run_cells(cfg: RunConfig, seed_index: int, rates,
         n_dwells=len(out), seed=seed_index) for rate, out in zip(rates, dwells)]
 
 
-def run_cell(cfg: RunConfig, seed_index: int, rate: float,
-             scene: Scenario = None) -> SweepResult:
-    """One (seed, rate) cell: run_cells of the one rate."""
-    return run_cells(cfg, seed_index, (rate,), scene)[0]
-
-
 def _rates_per_task(n_seeds: int, n_rates: int, workers: int) -> int:
     """How many of a seed's rates one pool task runs on one build of the
     seed's scene: the most that keeps the busiest worker's share, counted in
@@ -538,11 +548,6 @@ def _rates_per_task(n_seeds: int, n_rates: int, workers: int) -> int:
     def busiest(k):
         return math.ceil(n_seeds * math.ceil(n_rates / k) / workers) * k
     return min(range(n_rates, 0, -1), key=busiest, default=1)
-
-
-def _seed_task(args):
-    """Some rates of one seed: run_cells of (cfg, seed_index, rates)."""
-    return run_cells(*args)
 
 
 def run_sweep(cfg: RunConfig, csv_path: str = None):
@@ -558,9 +563,9 @@ def run_sweep(cfg: RunConfig, csv_path: str = None):
     workers = min(cfg.workers, len(tasks))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-            per_task = list(pool.map(_seed_task, tasks))
+            per_task = list(pool.map(run_cells, *zip(*tasks)))
     else:
-        per_task = map(_seed_task, tasks)
+        per_task = map(run_cells, *zip(*tasks))
     results = [r for rows in per_task for r in rows]
     if csv_path is not None:
         text = results_csv(cfg, results)
@@ -632,31 +637,42 @@ def field_layout(per_array: int = 5, distances=(5.0, 10.0, 15.0)):
     return out
 
 
-def _chamber_interferer(rng: np.random.Generator) -> WaveformConfig:
-    """A USRR interferer waveform with its carrier pinned within 50 MHz of
-    the chamber host's, for worst-case overlap."""
-    wf = sample_waveform(RadarType.USRR, rng, interferer_ok=True)
-    return replace(wf, carrier=RADAR_A.carrier + rng.uniform(-50e6, 50e6))
+def chamber_rows(layout, rng: np.random.Generator, drift: bool) -> list:
+    """A RadarRow per position of `layout`: a USRR interferer aimed at the
+    host, its carrier within 50 MHz of the chamber host's for worst-case
+    overlap and, with `drift`, its clock drift within +/-20 ppm.  The
+    values and the generator state are those of drawing radar after radar
+    its waveform, then `rng.uniform` for the carrier offset and the drift."""
+    n = len(layout)
+    wf, u = draw_waveforms([RadarType.USRR.value] * n, rng, extra=1 + drift)
+    wf["carrier"] = RADAR_A.carrier + (-50e6 + 100e6 * u[0])
+    if drift:
+        wf = apply_clock_drift(wf, -20.0 + 40.0 * u[1])
+    x, y = np.array(layout, dtype=float).reshape(n, 2).T
+    own = np.arange(n)
+    table = interferer_rows(own, own, x, y, np.arctan2(-y, -x),
+                            np.full(n, FOV_HALFWIDTH[RadarType.USRR]), wf)
+    return list(map(RadarRow._make, table.tolist()))
 
 
-def _free_space_rx(wf_i: WaveformConfig, pos) -> float:
-    """Direct-path receive power from an aimed interferer at `pos`; the
+def _free_space_rx(row) -> float:
+    """Direct-path receive power from the aimed interferer of `row`; the
     RADAR_A host sits at the origin looking along +x with a 15 degree FOV
     half-width."""
-    L = math.hypot(*pos)
-    ang = math.atan2(pos[1], pos[0])
+    L = math.hypot(row.x, row.y)
+    ang = math.atan2(row.y, row.x)
     if abs(ang) > math.radians(15.0):
         return 0.0
-    lam = C0 / wf_i.carrier
-    return (wf_i.tx_power * wf_i.rx_gain * RADAR_A.rx_gain
+    lam = C0 / row.carrier
+    return (row.tx_power * row.gain * RADAR_A.rx_gain
             * (lam / (4 * math.pi * L)) ** 2)
 
 
-def chamber_cubes(specs, counts, seed: int, seed_index: int,
+def chamber_cubes(rows, counts, seed: int, seed_index: int,
                   dwell_index: int):
     """Free-space chamber dwell cubes of the RADAR_A host: for each count c
-    of the ascending `counts`, (c, the cube with one interferer per
-    (waveform, position) of specs[:c]).
+    of the ascending `counts`, (c, the cube with the interferers of the
+    RadarRows rows[:c]).
 
     All counts share the dwell's noise draw and emitters: the one running
     cube gains each count's new interferers in place, so a yielded cube is
@@ -664,15 +680,15 @@ def chamber_cubes(specs, counts, seed: int, seed_index: int,
     """
     host_times = host_chirp_times(RADAR_A, dwell_index)
     t0, t1 = host_times[0], host_times[-1] + RADAR_A.chirp_duration
-    emitters = []   # one per spec, None where it cannot beat in band
-    for wf, pos in specs[:counts[-1]]:
-        p_rx = _free_space_rx(wf, pos)
-        if p_rx <= 0.0 or not can_beat_in_band(RADAR_A, wf):
+    emitters = []   # one per row, None where it cannot beat in band
+    for row in rows[:counts[-1]]:
+        p_rx = _free_space_rx(row)
+        if p_rx <= 0.0 or not can_beat_in_band(RADAR_A, row):
             emitters.append(None)
             continue
-        delay = math.hypot(*pos) / C0
-        times = chirp_times_in_window(wf, t0 - delay, t1 - delay)
-        emitters.append(Emitter(waveform=wf, amplitude=math.sqrt(p_rx),
+        delay = math.hypot(row.x, row.y) / C0
+        times = chirp_times_in_window(row, t0 - delay, t1 - delay)
+        emitters.append(Emitter(waveform=row, amplitude=math.sqrt(p_rx),
                                 chirp_times=times + delay))
     cube, done = None, 0
     for count in counts:
@@ -715,13 +731,9 @@ def run_anechoic_analog(n_interferers: int = 30, layout=None, counts=None,
     for s in range(n_seeds):
         rng = np.random.default_rng(
             np.random.SeedSequence([seed, s, CHAMBER_TAG]))
-        specs = []
-        for pos in layout[:ascending[-1]]:
-            wf = _chamber_interferer(rng)
-            drift = rng.uniform(-20.0, 20.0)
-            specs.append((apply_clock_drift(wf, drift), pos))
+        rows = chamber_rows(layout[:ascending[-1]], rng, drift=True)
         for d in range(n_dwells):
-            for count, cube in chamber_cubes(specs, ascending, seed, s, d):
+            for count, cube in chamber_cubes(rows, ascending, seed, s, d):
                 rd = range_doppler(cube)
                 per_dwell[count].append(10 ** (noise_floor(rd) / 10.0))
     return {count: 10.0 * math.log10(stable_mean(p))
@@ -745,10 +757,9 @@ def dump_maps(outdir, n_interferers: int = 5, dwell_index: int = 0,
     # The dumps draw their own interferers from seed index 0 without clock
     # drift, unlike the analog: drifted draws would change every dump file.
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0, CHAMBER_TAG]))
-    specs = [(_chamber_interferer(rng), pos)
-             for pos in chamber_layout(n_interferers)]
+    rows = chamber_rows(chamber_layout(n_interferers), rng, drift=False)
     written = []
-    cubes = chamber_cubes(specs, (0, n_interferers), seed, 0, dwell_index)
+    cubes = chamber_cubes(rows, (0, n_interferers), seed, 0, dwell_index)
     for tag, (count, cube) in zip(("clean", "interf"), cubes):
         mats = (("time_chirp", cube), ("range_chirp", range_chirp(cube)),
                 ("range_doppler", range_doppler(cube)))

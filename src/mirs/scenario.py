@@ -166,9 +166,9 @@ class Scenario:
     def waveform(self, i: int) -> WaveformConfig:
         """The waveform of radar row `i`, its clock drift applied."""
         r = self.radars
-        return apply_clock_drift(
-            WaveformConfig(*(r[k][i].item() for k in WAVEFORM_FIELDS)),
-            r["drift_ppm"][i].item())
+        return WaveformConfig(**apply_clock_drift(
+            {k: r[k][i].item() for k in WAVEFORM_FIELDS},
+            r["drift_ppm"][i].item()))
 
     def tf_slot(self, i: int) -> Optional[tuple]:
         """(band, slot, n_slots, frame period, sync offset) of radar row `i`

@@ -43,7 +43,7 @@ class TargetEcho:
 @dataclass(frozen=True)
 class Emitter:
     """One interferer radar seen over one unblocked path."""
-    waveform: WaveformConfig     # clock-drifted
+    waveform: tuple              # its drifted row (harness.RadarRow)
     amplitude: float             # field amplitude sqrt(P_rx) at the host
     chirp_times: np.ndarray      # arrival times of its chirp starts [s]
     key: tuple = ()
@@ -61,12 +61,14 @@ def can_beat_in_band(host: WaveformConfig, intf):
     return (d + lo <= host.adc_rate) & (d + hi >= 0.0)
 
 
-def chirp_times_in_window(wf: WaveformConfig, t0: float, t1: float,
+def chirp_times_in_window(wf, t0: float, t1: float,
                           tf_slot=None, dither_bound: float = 0.0,
                           dither_seed=None) -> np.ndarray:
     """Absolute chirp start times of a radar falling inside [t0, t1].
 
-    Frames repeat at the radar's own rate (or on the synchronized slot grid
+    `wf` is the radar's drifted row, or any record with its pri,
+    chirp_duration, n_chirps, fps and start_offset.  Frames of n_chirps *
+    pri repeat at the radar's own rate (or on the synchronized slot grid
     when tf_slot is set); the radar is silent between dwells.
     """
     if tf_slot is not None:
@@ -75,7 +77,7 @@ def chirp_times_in_window(wf: WaveformConfig, t0: float, t1: float,
     else:
         frame_p = 1.0 / wf.fps
         base = wf.start_offset
-    dwell = wf.dwell_duration
+    dwell = wf.n_chirps * wf.pri
     f_lo = max(0, int(math.floor((t0 - base - dwell) / frame_p)))
     f_hi = max(f_lo, int(math.floor((t1 - base) / frame_p)) + 1)
     chunks = []

@@ -4,13 +4,15 @@ Waveform ranges for the three analysis radar classes (LRR / SRR / SBZA) are
 uniformly randomized; the USRR class exists only as an interferer profile for
 the chamber/field experiment analogs.  `draw_waveforms` draws the waveforms
 of many radars from one block of PCG64 words, exactly as one numpy call per
-quantity would; `sample_waveform` is its one-radar case.
+quantity would.  `check_waveform_rows` holds the waveform checks, on table
+columns and on one `WaveformConfig` alike, and `apply_clock_drift` the drift
+rule, on columns and on one radar's values alike.
 """
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -42,28 +44,16 @@ class WaveformConfig:
     start_offset: float = 0.0
 
     def __post_init__(self):
-        # check_waveform_rows makes the same checks on table columns; a NaN
-        # field fails the positivity check, wherever it stands
-        if not all(v > 0 for v in (
-                self.pri, self.slope, self.chirp_duration, self.carrier,
-                self.n_chirps, self.fps, self.n_elements, self.tx_power,
-                self.element_gain, self.adc_rate)):
-            raise ConfigurationError("waveform fields must be strictly positive")
-        if self.chirp_duration > self.pri * (1 + 1e-12):
-            raise ConfigurationError("chirp_duration must fit inside the PRI")
-        if self.slope * self.chirp_duration > SWEEP_BAND_HZ * (1 + 1e-12):
-            raise ConfigurationError("sweep exceeds the 4 GHz band")
-        if self.n_chirps * self.pri > (1.0 / self.fps) * (1 + 1e-12):
-            raise ConfigurationError("dwell does not fit inside a frame")
+        # one-element arrays: numpy's 1 / 0 is inf, so a zero fps fails the
+        # positivity check as a NaN field does
+        check_waveform_rows({**{k: np.array([getattr(self, k)])
+                                for k in WAVEFORM_FIELDS},
+                             "drift_ppm": np.zeros(1)})
 
     @property
     def n_fast(self) -> int:
         # tolerate fp noise so exact products do not floor one short
         return int(math.floor(self.adc_rate * self.chirp_duration * (1 + 1e-12)))
-
-    @property
-    def dwell_duration(self) -> float:
-        return self.n_chirps * self.pri
 
     @property
     def erp(self) -> float:
@@ -217,22 +207,10 @@ def draw_waveforms(types, rng: np.random.Generator, extra: int = 0):
     return cols, [unit(post + 2 + k) for k in range(extra)]
 
 
-def sample_waveform(radar_type: RadarType, rng: np.random.Generator,
-                    interferer_ok: bool = False) -> WaveformConfig:
-    """One waveform drawn uniformly from the per-type parameter ranges: the
-    one-radar case of `draw_waveforms`."""
-    if not isinstance(radar_type, RadarType):
-        raise ConfigurationError(f"unknown radar type: {radar_type!r}")
-    if radar_type is RadarType.USRR and not interferer_ok:
-        raise ConfigurationError("USRR is an interferer-only profile")
-    cols, _ = draw_waveforms([radar_type.value], rng)
-    return WaveformConfig(*(cols[k][0].item() for k in WAVEFORM_FIELDS))
-
-
 def check_waveform_rows(w) -> None:
-    """WaveformConfig's checks, and the +/-100 ppm clock-drift bound, on
-    every row of the columns `w` (WAVEFORM_FIELDS and drift_ppm): raise the
-    first bad row's first fault."""
+    """The waveform checks and the +/-100 ppm clock-drift bound on every row
+    of the columns `w` (WAVEFORM_FIELDS and drift_ppm), in this order: raise
+    the first bad row's first fault."""
     positive = np.logical_and.reduce(
         [w[k] > 0 for k in WAVEFORM_FIELDS[:-1]])   # False for NaN too
     cd, pri = w["chirp_duration"], w["pri"]
@@ -252,11 +230,11 @@ def check_waveform_rows(w) -> None:
         raise ConfigurationError(list(faults)[np.argmax(bad[:, rows[0]])])
 
 
-def apply_clock_drift(cfg: WaveformConfig, drift_ppm: float) -> WaveformConfig:
-    """Scale frequencies up and times down by the same (1 + ppm*1e-6) factor."""
+def apply_clock_drift(w, drift_ppm):
+    """The mapping `w` of waveform fields with carrier and slope scaled up,
+    and pri and chirp_duration down, by the factor 1 + drift_ppm * 1e-6:
+    columns and their drifts, or one radar's values and its drift."""
     f = 1.0 + drift_ppm * 1e-6
-    if f == 1.0:
-        return cfg
-    return replace(cfg, carrier=cfg.carrier * f, slope=cfg.slope * f,
-                   pri=cfg.pri / f, chirp_duration=cfg.chirp_duration / f)
+    return {**w, "carrier": w["carrier"] * f, "slope": w["slope"] * f,
+            "pri": w["pri"] / f, "chirp_duration": w["chirp_duration"] / f}
 

@@ -8,11 +8,11 @@ library's tables through the scenario dict format, which `scenario_to_dict`
 writes and `scenario_from_dict` reads.
 """
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from mirs.scenario import Polarization, scenario_to_dict
-from mirs.waveform import RadarType, WaveformConfig, apply_clock_drift
+from mirs.waveform import RadarType, WaveformConfig
 
 WAVEFORM_KEYS = ("pri", "slope", "chirp_duration", "carrier", "n_chirps",
                  "fps", "n_elements", "tx_power", "element_gain", "adc_rate",
@@ -34,7 +34,11 @@ class ObjRadar:
     dither_bound: float = 0.0
 
     def drifted(self) -> WaveformConfig:
-        return apply_clock_drift(self.waveform, self.drift_ppm)
+        """The waveform as the drifted clock runs it: carrier and slope
+        times f = 1 + drift_ppm * 1e-6, pri and chirp_duration over f."""
+        wf, f = self.waveform, 1.0 + self.drift_ppm * 1e-6
+        return replace(wf, carrier=wf.carrier * f, slope=wf.slope * f,
+                       pri=wf.pri / f, chirp_duration=wf.chirp_duration / f)
 
 
 @dataclass(frozen=True)

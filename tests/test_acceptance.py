@@ -15,7 +15,7 @@ from scipy.constants import c as C0
 
 from mirs.harness import (RADAR_A, RunConfig, chamber_layout, dump_maps,
                           field_layout, results_csv, run_anechoic_analog,
-                          run_cell, run_sweep, table2_cells)
+                          run_cells, run_sweep, table2_cells)
 from mirs.metrics import field_equivalent_range, max_range_factor, stable_mean
 from mirs.mitigation import MitigationPlan, Technique
 from mirs.processing import (detection_mask_ca_cfar, horizontal_bands,
@@ -204,7 +204,7 @@ def test_criterion_10_pd_bounds():
     for i, (d, t, h) in enumerate(table2_cells()):
         cfg = RunConfig(density=d, topology=t, host_type=h,
                         penetration_rates=(0.0,), n_seeds=1, n_dwells=20)
-        r = run_cell(cfg, 0, 0.0)
+        r = run_cells(cfg, 0, (0.0,))[0]
         worst = min(worst, r.pd)
     ok_a = worst >= 0.95
 

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from mirs import harness
 from mirs.cli import main
 from mirs.errors import ConfigurationError
 from mirs.scenario import load_scenario
@@ -250,6 +251,42 @@ def test_bad_argument_fails_before_any_dwell(tmp_path, capsys, monkeypatch,
     assert os.listdir(tmp_path) == []
 
 
+# (flag, text, config key): each text is as bad in a config file
+BAD_FLAGS = [("--density", "ultra", "density"), ("--seed", "1.5", "seed"),
+             ("--n-seeds", "x", "n_seeds"), ("--host-type", "USRR", "host_type"),
+             ("--topology", "ring", "topology"),
+             ("--technique", "foo", "technique"), ("--preset", "1.5", "preset")]
+
+
+@pytest.mark.parametrize("flag, text, key", BAD_FLAGS,
+                         ids=[f"{f[2:]}={t}" for f, t, _ in BAD_FLAGS])
+def test_bad_flag_fails_as_its_config_key(tmp_path, capsys, monkeypatch,
+                                          flag, text, key):
+    built = []
+    monkeypatch.setattr("mirs.harness.build_scene",
+                        lambda *args: built.append(args))
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(f"{key}: {text}\n")
+    out = str(tmp_path / "o.csv")
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(cfg), "--out", out]) == 1
+    want = capsys.readouterr().err
+    assert main(["sweep", flag, text, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err == want
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert built == []
+
+
+def test_str_flag_is_taken_as_given(tmp_path):
+    # a config file's `label: 007` is the int 7 and fails; the flag's text
+    # is the label
+    out = tmp_path / "o.csv"
+    assert main(["sweep", "--label", "007", "--n-dwells", "1", "--rates", "0",
+                 "--out", str(out)]) == 0
+    assert "# label=007\n" in out.read_text()
+
+
 def test_tf_coding_64x6_at_15hz_runs(tmp_path):
     # slot 11.1 ms against a longest LRR dwell of about 10.3 ms
     cfg = tmp_path / "tf.yaml"
@@ -334,6 +371,38 @@ def test_bad_radar_of_a_scenario_file_fails_before_any_dwell(
     rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
     assert rc == 1
     assert capsys.readouterr().err == f"error: {why}\n"
+
+
+def test_host_whose_drifted_dwell_overruns_its_frame_fails_at_its_dwell(
+        tmp_path, capsys, monkeypatch):
+    # the host's dwell fits its frame undrifted, so the scene loads and
+    # passes the table's checks, but not at -100 ppm: its drifted waveform,
+    # built at its first dwell, fails
+    scene = tmp_path / "scene.json"
+    assert main(["generate-scenario", "--density", "low", "--topology",
+                 "front", "--host-type", "LRR", "--out", str(scene)]) == 0
+    d = json.loads(scene.read_text())
+    host = next(v for v in d["vehicles"] if v["id"] == d["host_vehicle_id"])
+    radar = host["radars"][d["host_radar_index"]]
+    wf = radar["waveform"]
+    wf["fps"] = 1.0 / (wf["n_chirps"] * wf["pri"] * (1 + 5e-5))
+    radar["drift_ppm"] = -100.0
+    scene.write_text(json.dumps(d))
+    dwells = []
+    simulate = harness.simulate_dwell
+
+    def counted(*args, **kwargs):
+        dwells.append(args[3])
+        return simulate(*args, **kwargs)
+    monkeypatch.setattr("mirs.harness.simulate_dwell", counted)
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(f"scenario_file: {scene}\nn_dwells: 1\n")
+    capsys.readouterr()
+    rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        "error: dwell does not fit inside a frame\n"
+    assert dwells == [0]
 
 
 def _drop_dither_bound(d):

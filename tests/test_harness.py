@@ -21,12 +21,14 @@ from mirs.harness import (HOST_ORDER, HOST_TARGET_RANGE, PENETRATION_GRID,
                           config_from_dict, dump_maps, dwell_schedule,
                           field_layout, load_config, output_dir,
                           prepare_scene, preset_config, read_results_csv,
-                          report, results_csv, run_anechoic_analog, run_cell,
+                          report, results_csv, run_anechoic_analog,
                           run_cells, run_sweep, simulate_dwell, table2_cells)
 from mirs.metrics import SweepResult
 from mirs.mitigation import MitigationPlan, Technique
 from mirs.processing import vertical_stripes
-from mirs.scenario import Topology, scenario_from_dict, scenario_to_dict
+from mirs import scenario
+from mirs.scenario import (Scenario, Topology, scenario_from_dict,
+                          scenario_to_dict)
 from mirs.synthesis import read_cube, synthesize_dwell
 from mirs.waveform import RadarType
 
@@ -209,7 +211,7 @@ def test_run_cell_and_sweep_cardinality():
     # fixed ordering: seed-major, rate-minor
     assert [(r.seed, r.penetration_rate) for r in res] == \
         [(s, p) for s in range(2) for p in (0.0, 1.0)]
-    base = run_cell(cfg, 0, 0.0)
+    base = run_cells(cfg, 0, (0.0,))[0]
     assert base.pd == res[0].pd
     assert base.mean_noise_floor_db == res[0].mean_noise_floor_db
 
@@ -225,7 +227,7 @@ def test_sweep_builds_each_seed_scene_once(monkeypatch):
     rows = run_sweep(cfg)
     assert built == [0, 1]
     monkeypatch.undo()
-    assert rows == [run_cell(cfg, s, r) for s in range(2)
+    assert rows == [run_cells(cfg, s, (r,))[0] for s in range(2)
                     for r in cfg.penetration_rates]
 
 
@@ -250,7 +252,7 @@ def _count_synthesis(monkeypatch):
 def test_sweep_with_dwell_reuse_equals_run_cell(technique, monkeypatch):
     plan = MitigationPlan(technique=technique, n_bands=64, n_slots=6)
     cfg = RunConfig(**{**REUSE, "plan": plan})
-    want = [run_cell(cfg, s, r) for s in range(2)
+    want = [run_cells(cfg, s, (r,))[0] for s in range(2)
             for r in cfg.penetration_rates]
     calls = _count_synthesis(monkeypatch)
     assert run_sweep(cfg) == want
@@ -289,7 +291,7 @@ def test_sweep_synthesizes_each_clean_dwell_once(monkeypatch):
 def test_dwell_major_sweep_equals_one_rate_at_a_time(workers):
     cfg = RunConfig(**{**TF_SWEEP, "n_seeds": 2, "workers": workers})
     assert len(cfg.penetration_rates) >= 3 and cfg.n_dwells >= 3
-    want = [run_cell(cfg, s, r) for s in range(2)
+    want = [run_cells(cfg, s, (r,))[0] for s in range(2)
             for r in cfg.penetration_rates]
     assert run_sweep(cfg) == want
 
@@ -327,7 +329,7 @@ def test_dwell_reuse_keys_on_the_dwell_index(monkeypatch):
     v = scene.vehicles
     parked = replace(scene, vehicles={**v, "speed": np.where(
         np.arange(v["id"].size) == scene.host, 0.0, v["speed"])})
-    alone = run_cell(cfg, 0, 0.0, parked)
+    alone = run_cells(cfg, 0, (0.0,), parked)[0]
     calls = _count_synthesis(monkeypatch)
     assert run_cells(cfg, 0, (0.0, 0.0), parked) == [alone, alone]
     assert calls == [0] * cfg.n_dwells
@@ -407,6 +409,32 @@ def test_dwell_reuse_shares_hosts_a_clean_dwell_cannot_tell_apart():
     assert got == alone and alone[0] == alone[1]
 
 
+def test_a_dwell_builds_one_waveform_record(monkeypatch):
+    # the criterion-9 shape: the host's drifted record is the dwell's only
+    # WaveformConfig and clock-drift call; every emitting interferer is a
+    # row of the drifted radar columns
+    cfg = RunConfig(density="high", topology=Topology.FULL,
+                    host_type=RadarType.SRR, penetration_rates=(1.0,))
+    scen = prepare_scene(cfg, 0, 1.0)
+    frame_p = dwell_schedule(cfg, scen)[1]
+    calls = []
+    waveform, drift = Scenario.waveform, scenario.apply_clock_drift
+
+    def counted_waveform(self, i):
+        calls.append("waveform")
+        return waveform(self, i)
+
+    def counted_drift(*args):
+        calls.append("drift")
+        return drift(*args)
+    monkeypatch.setattr(Scenario, "waveform", counted_waveform)
+    monkeypatch.setattr(scenario, "apply_clock_drift", counted_drift)
+    for d in range(3):
+        calls.clear()
+        assert simulate_dwell(cfg, scen, 0, d, frame_p).n_emitters > 0
+        assert sorted(calls) == ["drift", "waveform"]
+
+
 def test_dwell_result_is_frozen():
     cfg = RunConfig(**QUICK)
     s = prepare_scene(cfg, 0, 0.0)
@@ -454,8 +482,8 @@ def test_sweep_pool_is_capped_at_the_task_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def map(self, fn, *iterables):   # Executor.map's signature
+            return map(fn, *iterables)
 
     def counted(*args):
         built.append(args[1])

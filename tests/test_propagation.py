@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.constants import c as C0
 
 from mirs.errors import ConfigurationError
-from mirs.harness import RADAR_ROW, build_emitters
+from mirs.harness import RADAR_ROW, ROW_WAVEFORM, build_emitters
 from mirs.mitigation import cross_pol_factor
 from mirs.propagation import (CONCRETE_INDEX, PATH_DTYPE, PATH_KINDS,
                               MaterialModel, PathKind, echo_power,
@@ -201,10 +201,14 @@ def clean_scene(seed=0):
 
 
 def radar_rows(*rows, gain=1.0, carrier=77e9):
-    """A paths() transmitter table from (x, y, bore, fov, vehicle) rows."""
-    return np.rec.fromrecords(
-        [(v, 0, x, y, b, f, gain, carrier, 1.0, 1.0) for x, y, b, f, v in rows],
-        dtype=RADAR_ROW)
+    """A paths() transmitter table of RADAR_ROW rows from (x, y, bore, fov,
+    vehicle) tuples, each with antenna gain `gain` and carrier `carrier`;
+    paths and one_way_gain read no other field."""
+    table = np.zeros(len(rows), RADAR_ROW).view(np.recarray)
+    for name, col in zip(("x", "y", "bore", "fov", "vehicle"), zip(*rows)):
+        table[name] = col
+    table.gain, table.carrier = gain, carrier
+    return table
 
 
 def scene_paths(s, tx, rx, rx_bore=0.0, rx_fov=math.pi, host=0):
@@ -580,7 +584,11 @@ def test_build_emitters_matches_scalar_reference(scenes, dwell):
     want = ref_emitters(vehicles, 0, snap.geometry, *args[:2], hr, *args[2:])
     assert [e.key for e in got] == [w[:3] for w in want]
     for e, (_, _, _, wf, amp, chirps) in zip(got, want):
-        assert e.waveform == wf
+        # every waveform field chirp timing, amplitude and beat synthesis
+        # read, as Python values
+        assert ({k: getattr(e.waveform, k) for k in ROW_WAVEFORM}
+                == {k: getattr(wf, k) for k in ROW_WAVEFORM})
+        assert {type(v) for v in e.waveform} <= {int, float}
         assert e.amplitude == amp
         assert np.array_equal(e.chirp_times, chirps)
 

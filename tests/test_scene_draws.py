@@ -12,7 +12,7 @@ record with `dataclasses.replace`.  Both must give the same scene, compared
 through `scenario_to_dict` with every technique field, for the same seeds.
 `draw_waveforms` is also checked alone against the scalar draws, from both
 buffered-half states and across rejected halves, down to the generator
-state it leaves.
+state it leaves, and so are the chamber's interferer rows.
 """
 import math
 from dataclasses import astuple, replace
@@ -30,7 +30,7 @@ from mirs.scenario import (CLOCK_DRIFT_PPM, FOV_HALFWIDTH, RADAR_COLUMNS,
                            radar_layout, scenario_from_dict, scenario_to_dict)
 from mirs.waveform import (DEFAULT_ADC_RATE_HZ, WAVEFORM_FIELDS,
                            WAVEFORM_RANGES, RadarType, WaveformConfig,
-                           draw_waveforms, sample_waveform)
+                           draw_waveforms)
 from scene_objects import ObjRadar, objects_from_scene, scene_dict
 
 
@@ -169,7 +169,7 @@ def ref_time_frequency_coding(vehicles, n_bands, n_slots, sync_jitter, rng,
             wf = r.waveform
             # the dwell slowed by the clock drift, the start offset and the
             # sync jitter of both neighbouring slots
-            if (wf.dwell_duration / (1 + r.drift_ppm * 1e-6) + wf.start_offset
+            if (wf.n_chirps * wf.pri / (1 + r.drift_ppm * 1e-6) + wf.start_offset
                     + 2.0 * sync_jitter > slot_len):
                 raise ConfigurationError("dwell does not fit the time slot")
             cell = rank[(v.id, i)] % (n_bands * n_slots)
@@ -250,16 +250,6 @@ def test_medium_tf_scene_matches_scalar_reference():
     check_against_reference(cfg, 1, 0.5, permutation_seed=7)
 
 
-@settings(max_examples=30, deadline=None)
-@given(radar_type=st.sampled_from(list(RadarType)), seed=st.integers(0, 2 ** 32))
-def test_sample_waveform_matches_scalar_reference(radar_type, seed):
-    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-    for _ in range(3):   # the integers draw leaves half a word buffered
-        assert (sample_waveform(radar_type, a, interferer_ok=True)
-                == ref_sample_waveform(radar_type, b))
-    assert a.random() == b.random()
-
-
 # ---------------------------------------------------------------------------
 # the block draw of many radars against one scalar draw per quantity
 
@@ -290,6 +280,38 @@ def check_draws(types, a, b, extra):
     assert a.bit_generator.state == b.bit_generator.state
     assert a.integers(0, 1000) == b.integers(0, 1000)
     assert a.random() == b.random()
+
+
+@settings(max_examples=30, deadline=None)
+@given(radar_type=st.sampled_from(list(RadarType)), seed=st.integers(0, 2 ** 32))
+def test_draw_waveforms_one_radar_matches_scalar_reference(radar_type, seed):
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):   # the integers draw leaves half a word buffered
+        check_draws([radar_type.value], a, b, 0)
+
+
+@pytest.mark.parametrize("n, drift", [(30, True), (5, False)])
+def test_chamber_rows_match_scalar_reference(n, drift):
+    # each interferer as the chamber analog (with drift) and the map dumps
+    # (without) drew it one scalar at a time: its waveform, then
+    # rng.uniform for its carrier offset and then for its drift
+    layout = H.chamber_layout(n)
+    a, b = (np.random.default_rng(np.random.SeedSequence([4, 1, H.CHAMBER_TAG]))
+            for _ in range(2))
+    rows = H.chamber_rows(layout, a, drift)
+    assert len(rows) == n
+    for row, (x, y) in zip(rows, layout):
+        wf = ref_sample_waveform(RadarType.USRR, b)
+        carrier = H.RADAR_A.carrier + b.uniform(-50e6, 50e6)
+        f = 1.0 + (b.uniform(-20.0, 20.0) if drift else 0.0) * 1e-6
+        want = dict(x=x, y=y, gain=wf.rx_gain, carrier=carrier * f,
+                    slope=wf.slope * f, chirp_duration=wf.chirp_duration / f,
+                    pri=wf.pri / f, n_chirps=wf.n_chirps, fps=wf.fps,
+                    start_offset=wf.start_offset, tx_power=wf.tx_power)
+        assert {k: getattr(row, k) for k in want} == want
+        # Python values, not numpy scalars
+        assert {type(v) for v in row} <= {int, float}
+    assert a.bit_generator.state == b.bit_generator.state
 
 
 @settings(max_examples=60, deadline=None)
